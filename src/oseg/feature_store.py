@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -296,8 +297,11 @@ def write_dataset(path, header: DatasetHeader, records: Iterable[FeatureRecord])
 def read_dataset(path) -> tuple[DatasetHeader, Iterator[FeatureRecord]]:
     """Open a dataset for streaming; records are yielded lazily in order.
 
+    The header is read at the call, so a bad preamble raises there.
     Corruption raises :class:`FormatError` carrying the byte offset;
-    records yielded before the failure are valid.
+    records yielded before the failure are valid.  The file closes when
+    the iterator is exhausted, closed or garbage-collected, also if it
+    was never started.
     """
     fh = open(path, "rb")
     try:
@@ -316,7 +320,10 @@ def read_dataset(path) -> tuple[DatasetHeader, Iterator[FeatureRecord]]:
                     return
                 yield _unpack_record(payload, header, offset)
 
-    return header, records()
+    iterator = records()
+    # a generator that never started never enters its ``with`` block
+    weakref.finalize(iterator, fh.close)
+    return header, iterator
 
 
 def load_dataset(path) -> tuple[DatasetHeader, list[FeatureRecord]]:

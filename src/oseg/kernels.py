@@ -5,6 +5,11 @@ random subset of training points (the centers).  With ``num_centers`` equal
 to the training-set size it coincides with exact kernel ridge regression;
 with fewer centers it is the usual Nystrom approximation, solved directly
 by Cholesky factorization of the ``m x m`` system.
+
+Kernel matrices come from one BLAS matrix product, as in FALKON (Rudi et
+al., 2017), rather than from pairwise differences; see
+:func:`gaussian_kernel` for the precision this costs.  The centers are
+rows of the training set, so a fit takes ``K_mm`` from rows of ``K_nm``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.spatial.distance import cdist
 
 from .seeding import rng_for
 
@@ -23,13 +27,28 @@ class SolverError(RuntimeError):
 
 
 def gaussian_kernel(x, centers, sigma: float) -> np.ndarray:
-    """Gaussian kernel matrix ``exp(-|x - c|^2 / (2 sigma^2))``, shape (n, m)."""
+    """Gaussian kernel matrix ``exp(-|x - c|^2 / (2 sigma^2))``, shape (n, m).
+
+    The squared distances are expanded as ``|x|^2 + |c|^2 - 2 x c^T``, with
+    the cross term from one GEMM.  The expansion cancels, so the absolute
+    error of a distance is a few ulps of ``|x|^2 + |c|^2`` and grows with
+    the squared row norms; the error in ``K`` scales further with
+    ``1 / sigma^2``.  For rows of unit norm it stays below 1e-14; for rows
+    offset by 1e3 in 64 dimensions at ``sigma = 0.5`` it reaches about
+    1.5e-7.  Distances are clamped at zero, so ``0 <= K <= 1`` holds
+    exactly.
+    """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    d2 = cdist(x, centers, "sqeuclidean")
-    return np.exp(-d2 / (2.0 * sigma * sigma))
+    k = x @ centers.T
+    k *= -2.0
+    k += np.einsum("ij,ij->i", x, x)[:, None]
+    k += np.einsum("ij,ij->i", centers, centers)[None, :]
+    np.maximum(k, 0.0, out=k)
+    k /= -2.0 * sigma * sigma
+    return np.exp(k, out=k)
 
 
 @dataclass
@@ -97,7 +116,7 @@ def train_kernel_classifier(
     idx = rng.choice(n, size=num_centers, replace=False)
     centers = x[idx].copy()
     knm = gaussian_kernel(x, centers, sigma)
-    kmm = gaussian_kernel(centers, centers, sigma)
+    kmm = knm[idx]
     h = knm.T @ knm / n + lam * kmm
     # trace-scaled jitter keeps the Cholesky stable when centers nearly repeat
     h[np.diag_indices_from(h)] += 1e-10 * np.trace(h) / num_centers

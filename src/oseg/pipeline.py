@@ -266,23 +266,22 @@ def _check_sources(records, expected: str) -> None:
                     f" expected {expected!r}")
 
 
-def _train_detection_and_segmentation(records, class_ids, configs, config,
-                                      ledger: TimingLedger):
+def _detection_reservoir(records, class_ids, configs, config):
     reservoir = DetectionReservoir(config=configs.detection.bootstrap,
                                    seed=_module_seed(config.seed, "detection"))
     detection_incremental_update(reservoir, records, class_ids,
                                  new_class_ids=class_ids,
                                  pos_iou=configs.detection.pos_iou,
                                  neg_iou=configs.detection.neg_iou)
-    with _timed(ledger, DETECTION_TRAINING):
-        det_model = train_detection_from_reservoir(
-            reservoir, configs.detection, _module_seed(config.seed,
-                                                       "detection"))
+    return reservoir
+
+
+def _train_segmentation(records, class_ids, configs, config,
+                        ledger: TimingLedger):
     with _timed(ledger, SEGMENTATION_TRAINING):
-        seg_model = train_online_segmentation(
+        return train_online_segmentation(
             records, class_ids, configs.segmentation,
             _module_seed(config.seed, "segmentation"))
-    return det_model, seg_model
 
 
 def train_ours(header: DatasetHeader, records, config: ProtocolConfig,
@@ -306,12 +305,18 @@ def train_ours(header: DatasetHeader, records, config: ProtocolConfig,
                                pos_iou=configs.rpn.pos_iou,
                                neg_iou=configs.rpn.neg_iou,
                                reg_iou=configs.rpn.reg_iou)
+        det_reservoir = _detection_reservoir(records, class_ids, configs,
+                                             config)
     with _timed(ledger, RPN_TRAINING):
         rpn_model = train_rpn_from_reservoir(rpn_reservoir, header.grid,
                                              configs.rpn,
                                              _module_seed(config.seed, "rpn"))
-    det_model, seg_model = _train_detection_and_segmentation(
-        records, class_ids, configs, config, ledger)
+    with _timed(ledger, DETECTION_TRAINING):
+        det_model = train_detection_from_reservoir(
+            det_reservoir, configs.detection,
+            _module_seed(config.seed, "detection"))
+    seg_model = _train_segmentation(records, class_ids, configs, config,
+                                    ledger)
 
     manifest = build_manifest(config.replace(protocol="ours"), header,
                               len(records), dataset_hash)
@@ -362,8 +367,14 @@ def train_ours_serial(header: DatasetHeader, records, config: ProtocolConfig,
     with _timed(ledger, EXTRACTION_2, overlappable=False, extraction=True):
         adapted = adapt_records(rpn_model, records, featurizer)
     _check_sources(adapted, "adapted")
-    det_model, seg_model = _train_detection_and_segmentation(
-        adapted, class_ids, configs, config, ledger)
+    # the reservoir is filled from the adapted records, which exist only
+    # after pass 2, so filling it counts as detection training
+    with _timed(ledger, DETECTION_TRAINING):
+        det_model = train_detection_from_reservoir(
+            _detection_reservoir(adapted, class_ids, configs, config),
+            configs.detection, _module_seed(config.seed, "detection"))
+    seg_model = _train_segmentation(adapted, class_ids, configs, config,
+                                    ledger)
 
     manifest = build_manifest(config.replace(protocol="ours_serial"), header,
                               len(records), dataset_hash)

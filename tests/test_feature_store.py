@@ -1,5 +1,8 @@
 """Dataset format round-trips and synthetic oracle formulas."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,17 @@ def test_streaming_read_is_lazy(tmp_path):
     assert first.image_id == 0
     rest = list(stream)
     assert [r.image_id for r in rest] == [1, 2]
+
+
+def test_unstarted_stream_closes_its_file(tmp_path):
+    path = tmp_path / "d.oseg"
+    generate_dataset(path, small_world(), 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, stream = read_dataset(path)
+        del stream
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_empty_dataset(tmp_path):

@@ -7,7 +7,10 @@ closed form is computed independently here.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
+from scipy.spatial.distance import cdist
 
 import oseg.kernels as kernels
 from oseg.kernels import (
@@ -42,6 +45,49 @@ class TestGaussianKernel:
         x = rng.normal(size=(30, 8))
         k = gaussian_kernel(x, x, sigma=2.0)
         assert np.all(k > 0.0) and np.all(k <= 1.0 + 1e-12)
+
+
+def cdist_kernel(x, centers, sigma):
+    """Reference kernel from direct pairwise differences."""
+    return np.exp(-cdist(x, centers, "sqeuclidean") / (2.0 * sigma * sigma))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Rows of norm about 1 (RPN rows have norms 0.6-1.6); some centers
+    repeat rows of ``x``, so that some distances are exactly zero."""
+    n = draw(st.integers(1, 200))
+    m = draw(st.integers(1, 200))
+    f = draw(st.integers(1, 64))
+    shared = draw(st.integers(0, min(n, m)))
+    # the GEMM error in K scales as 1 / sigma^2; the program uses 5.0
+    sigma = draw(st.floats(0.5, 10.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, f)) / np.sqrt(f)
+    centers = np.vstack([x[:shared],
+                         rng.normal(size=(m - shared, f)) / np.sqrt(f)])
+    return x, centers, sigma
+
+
+class TestGemmKernelOracle:
+    @settings(deadline=None)
+    @given(kernel_inputs())
+    def test_unit_scale_rows_match_cdist(self, inputs):
+        x, centers, sigma = inputs
+        k = gaussian_kernel(x, centers, sigma)
+        np.testing.assert_allclose(k, cdist_kernel(x, centers, sigma),
+                                   rtol=0.0, atol=1e-12)
+
+    @settings(deadline=None)
+    @given(kernel_inputs())
+    def test_offset_rows_stay_in_range(self, inputs):
+        # |x|^2 near 1e6 f makes |x|^2 + |c|^2 - 2 x.c cancel badly
+        x, centers, sigma = inputs
+        x, centers = x + 1e3, centers + 1e3
+        k = gaussian_kernel(x, centers, sigma)
+        assert k.min() >= 0.0 and k.max() <= 1.0
+        np.testing.assert_allclose(k, cdist_kernel(x, centers, sigma),
+                                   rtol=0.0, atol=1e-6)
 
 
 class TestNystromEquivalence:

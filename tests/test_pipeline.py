@@ -1,5 +1,6 @@
 """Training protocols, stream timing, model selection and inference."""
 
+import time
 import warnings
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 from oseg import pipeline
 from oseg.evaluation import evaluate, mask_iou
 from oseg.model_io import classifier_bytes, model_bytes
-from oseg.pipeline import (ACQUISITION, BACKLOG, EXTRACTION_1, EXTRACTION_2,
-                           ProtocolConfig, TimingLedger, WorldFeaturizer,
-                           stream_residual)
+from oseg.pipeline import (ACQUISITION, BACKLOG, DETECTION_TRAINING,
+                           EXTRACTION_1, EXTRACTION_2, ProtocolConfig,
+                           TimingLedger, WorldFeaturizer, stream_residual)
 from oseg.synthetic import SyntheticWorld
 
 SMALL = dict(num_batches=2, batch_size=300, rpn_centers=150,
@@ -246,6 +247,29 @@ class TestTrainOursSerial:
                              config.replace(protocol="ours_serial"),
                              featurizer)
         assert result.proposal_source == "adapted"
+
+
+@pytest.mark.parametrize("protocol, phase", [("ours", EXTRACTION_1),
+                                             ("ours_serial",
+                                              DETECTION_TRAINING)])
+def test_detection_reservoir_update_is_timed(monkeypatch, header,
+                                             train_records, config,
+                                             featurizer, protocol, phase):
+    update = pipeline.detection_incremental_update
+
+    def slow_update(*args, **kw):
+        time.sleep(0.2)
+        return update(*args, **kw)
+
+    monkeypatch.setattr(pipeline, "detection_incremental_update",
+                        slow_update)
+    start = time.perf_counter()
+    result = quiet_train(pipeline.train, header, train_records,
+                         config.replace(protocol=protocol), featurizer)
+    untimed = time.perf_counter() - start - result.ledger.total_seconds()
+    assert result.ledger.seconds(phase) >= 0.2
+    assert result.ledger.post_acquisition_seconds() >= 0.2
+    assert untimed < 0.2
 
 
 class TestAdaptRecords:
