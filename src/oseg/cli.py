@@ -13,7 +13,6 @@ depends on the clock, so reruns with the same inputs are byte-identical
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 
@@ -45,14 +44,6 @@ def _write_timing(path, ledger) -> None:
               for p in ledger.phases]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _load_config(args) -> ProtocolConfig:
@@ -122,6 +113,11 @@ def _compatible_headers(a, b) -> bool:
 
 def cmd_train_incremental(args) -> int:
     config = _load_config(args)
+    if args.sequences < 1:
+        raise ValueError(f"--sequences {args.sequences}: need at least one")
+    if args.sequences > 1 and len(args.datasets) > 1:
+        raise ValueError(f"--sequences {args.sequences} splits a single "
+                         f"dataset; got {len(args.datasets)} datasets")
     sequences = []
     header = None
     hashes = []
@@ -134,13 +130,14 @@ def cmd_train_incremental(args) -> int:
                              f"{args.datasets[0]}")
         sequences.append(records)
         hashes.append(dataset_sha256(path))
-    if len(sequences) == 1 and args.sequences > 1:
+    if args.sequences > 1:
         records = sequences[0]
-        step = -(-len(records) // args.sequences)
-        if step == 0:
-            raise ValueError("more sequences than records")
-        sequences = [records[i:i + step]
-                     for i in range(0, len(records), step)]
+        if args.sequences > len(records):
+            raise ValueError(f"--sequences {args.sequences} exceeds the "
+                             f"{len(records)} records of {args.datasets[0]}")
+        bounds = [i * len(records) // args.sequences
+                  for i in range(args.sequences + 1)]
+        sequences = [records[a:b] for a, b in zip(bounds, bounds[1:])]
     trainer = pipeline.IncrementalTrainer(header, config,
                                           dataset_hash=hashes)
     result = None
@@ -188,7 +185,7 @@ def cmd_eval(args) -> int:
         fh.write("\n".join(lines) + "\n")
     _write_manifest(args.out, {
         "command": "eval",
-        "model_sha256": _file_sha256(args.model),
+        "model_sha256": dataset_sha256(args.model),
         "dataset_sha256": dataset_sha256(args.dataset),
         "stored_proposals": bool(args.stored_proposals),
         "bbox_only": bool(args.bbox_only),
@@ -318,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--datasets", nargs="+", required=True)
     p.add_argument("--sequences", type=int, default=1,
                    help="split a single dataset into this many contiguous "
-                        "sequences")
+                        "sequences whose sizes differ by at most one")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--seed", type=int)

@@ -94,9 +94,12 @@ def proposal_features(record) -> np.ndarray:
 def detection_labeler(class_ids, pos_iou: float = 0.6, neg_iou: float = 0.3):
     """Per-record labeler keyed by class id.
 
-    On an image without class-n ground truths the class's negatives are
-    reported empty (the reservoir buffer substitutes for them); explicit
-    negatives exist only where the class is present.
+    Yields ``{n: (positives, negatives, reg_features, reg_targets)}``.
+    The regression rows are exactly the positives, each paired with the
+    offsets to its best class-n ground truth.  On an image without class-n
+    ground truths every side is reported empty (the reservoir buffer
+    substitutes for the negatives); explicit negatives exist only where
+    the class is present.
     """
     class_ids = tuple(class_ids)
 
@@ -108,37 +111,15 @@ def detection_labeler(class_ids, pos_iou: float = 0.6, neg_iou: float = 0.3):
                 [g.box.as_array() for g in record.gt_objects if g.class_id == n]
             ).reshape(-1, 4)
             if gts.shape[0] == 0 or features.shape[0] == 0:
-                out[n] = ((), ())
-                continue
-            overlap = iou_matrix(boxes, gts).max(axis=1)
-            out[n] = (features[overlap > pos_iou], features[overlap < neg_iou])
-        return out
-
-    return labeler
-
-
-def detection_regression_labeler(class_ids, pos_iou: float = 0.6):
-    """Box-offset samples: positives paired with their best ground truth."""
-    class_ids = tuple(class_ids)
-
-    def labeler(record):
-        features, boxes = _proposal_arrays(record.proposals)
-        out = {}
-        for n in class_ids:
-            gts = np.array(
-                [g.box.as_array() for g in record.gt_objects if g.class_id == n]
-            ).reshape(-1, 4)
-            if gts.shape[0] == 0 or features.shape[0] == 0:
-                out[n] = ((), ())
+                out[n] = ((), (), (), ())
                 continue
             overlap = iou_matrix(boxes, gts)
             best = overlap.max(axis=1)
             sel = best > pos_iou
-            if not sel.any():
-                out[n] = ((), ())
-                continue
-            matched = gts[overlap[sel].argmax(axis=1)]
-            out[n] = (features[sel], encode_targets(boxes[sel], matched))
+            positives, targets = features[sel], ()
+            if sel.any():
+                targets = encode_targets(boxes[sel], gts[overlap[sel].argmax(axis=1)])
+            out[n] = (positives, features[best < neg_iou], positives, targets)
         return out
 
     return labeler
@@ -172,22 +153,15 @@ def build_detection_training_sets(
     neg: dict[int, list] = {n: [] for n in class_ids}
     rx: dict[int, list] = {n: [] for n in class_ids}
     ry: dict[int, list] = {n: [] for n in class_ids}
-    reg = detection_regression_labeler(class_ids, pos_iou)
+    labeler = detection_labeler(class_ids, pos_iou, neg_iou)
     for record in records:
-        features, boxes = _proposal_arrays(record.proposals)
+        features = proposal_features(record)
         if features.shape[0] == 0:
             continue
-        for n in class_ids:
-            gts = np.array(
-                [g.box.as_array() for g in record.gt_objects if g.class_id == n]
-            ).reshape(-1, 4)
-            if gts.shape[0] == 0:
-                neg[n].append(features)
-                continue
-            overlap = iou_matrix(boxes, gts).max(axis=1)
-            pos[n].append(features[overlap > pos_iou])
-            neg[n].append(features[overlap < neg_iou])
-        for n, (x, y) in reg(record).items():
+        present = {g.class_id for g in record.gt_objects}
+        for n, (p, q, x, y) in labeler(record).items():
+            pos[n].append(np.atleast_2d(np.asarray(p, dtype=np.float64)))
+            neg[n].append(q if n in present else features)
             x = np.asarray(x, dtype=np.float64)
             if x.size:
                 rx[n].append(np.atleast_2d(x))

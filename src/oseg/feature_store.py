@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -339,14 +338,3 @@ def dataset_sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def atomic_replace(path, write_fn) -> None:
-    """Write to a temp file in the same directory, then rename over path."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)

@@ -17,10 +17,20 @@ The detection reservoir additionally keeps a per-image buffer drawn from
 all proposal features of the image.  When a class has no recorded
 negatives for some image (in particular on images that predate the
 class), the buffer stands in for them at training time.
+
+Each module has one labeler that yields, per record and key, the
+classification positives and negatives together with the box-offset
+regression samples, so a record is labeled once per module.  The one
+training core of :mod:`oseg.pipeline` fills the reservoirs through
+:func:`rpn_incremental_update` and :func:`detection_incremental_update`
+for both batch protocols and for every incremental sequence.  It updates
+forks (:meth:`SampleReservoir.fork`), so a sequence that fails to train
+leaves the reservoirs it started from unchanged.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -57,15 +67,30 @@ def _as_features(a, width: int | None) -> tuple[np.ndarray, int | None]:
     return a, a.shape[1]
 
 
+def _copy_containers(value):
+    if isinstance(value, dict):
+        return {k: _copy_containers(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return list(value)
+    return value
+
+
+def _append(store: dict, key, rows: np.ndarray) -> None:
+    current = store.get(key)
+    if current is None or current.shape[0] == 0:
+        store[key] = rows
+    elif rows.shape[0]:
+        store[key] = np.concatenate([current, rows], axis=0)
+
+
 @dataclass
 class SampleReservoir:
     """Positives plus quota-bounded per-image negatives, per problem key.
 
-    ``labeler(record) -> {key: (positives, negatives)}`` supplies the raw
-    per-image samples during :meth:`update`; an optional
-    ``regression_labeler(record) -> {key: (features, targets)}`` feeds
-    the side channel of box-offset samples, which are kept unsampled
-    (they track the positives, which are never evicted).
+    ``labeler(record) -> {key: (positives, negatives, reg_features,
+    reg_targets)}`` supplies the raw per-image samples during
+    :meth:`update`.  The box-offset samples feed a side channel that is
+    kept unsampled (they track the positives, which are never evicted).
     """
 
     config: BootstrapConfig
@@ -89,6 +114,15 @@ class SampleReservoir:
 
     def keys(self):
         return self.positives.keys()
+
+    def fork(self):
+        """A copy that :meth:`update` can change while this one stays as
+        it is.  The lists and dicts are new and the arrays shared:
+        ``update`` replaces arrays and never writes into one."""
+        fields = dataclasses.fields(self)
+        return dataclasses.replace(
+            self, **{f.name: _copy_containers(getattr(self, f.name)) for f in fields}
+        )
 
     def _require_new_ids(self, records) -> list:
         seen = set(self.image_ids)
@@ -115,26 +149,7 @@ class SampleReservoir:
             if image_id not in per_image:
                 per_image[image_id] = np.empty((0, self.feature_dim or 0))
 
-    def _append_positives(self, key, rows: np.ndarray) -> None:
-        current = self.positives.get(key)
-        if current is None or current.shape[0] == 0:
-            self.positives[key] = rows
-        elif rows.shape[0]:
-            self.positives[key] = np.concatenate([current, rows], axis=0)
-
-    def _append_regression(self, key, x, y) -> None:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        if x.size == 0:
-            return
-        if key in self.reg_features:
-            self.reg_features[key] = np.concatenate([self.reg_features[key], x])
-            self.reg_targets[key] = np.concatenate([self.reg_targets[key], y])
-        else:
-            self.reg_features[key] = x
-            self.reg_targets[key] = y
-
-    def update(self, records, labeler, regression_labeler=None) -> None:
+    def update(self, records, labeler) -> None:
         """Absorb one sequence: shrink old lists, ingest new images."""
         records = list(records)
         if not records:
@@ -153,26 +168,22 @@ class SampleReservoir:
                 known_keys.add(key)
                 self._blank_key(key)
             for key in known_keys:
-                pos, neg = labeled.get(key, ((), ()))
+                pos, neg, _, _ = labeled.get(key, ((), (), (), ()))
                 pos, self.feature_dim = _as_features(pos, self.feature_dim)
                 neg, self.feature_dim = _as_features(neg, self.feature_dim)
-                if self.positives.get(key) is None:
-                    self.positives[key] = pos
-                else:
-                    self._append_positives(key, pos)
+                _append(self.positives, key, pos)
                 self.negatives[key][image_id] = subsample_rows(
                     neg, quota, rng_for(self.seed, "stage1", key, image_id)
                 )
-            if regression_labeler is not None:
-                for key, (x, y) in regression_labeler(record).items():
-                    self._append_regression(key, x, y)
+            for key, (_, _, x, y) in labeled.items():
+                x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+                if x.size:
+                    _append(self.reg_features, key, x)
+                    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+                    _append(self.reg_targets, key, y)
             self.image_ids.append(image_id)
         if self.feature_dim is None:
             raise ValueError("labeler produced no features")
-        empty = np.empty((0, self.feature_dim))
-        for key in known_keys:
-            if self.positives.get(key) is None:
-                self.positives[key] = empty
         self.num_images = total
         self.updates = t
 
@@ -211,7 +222,7 @@ class DetectionReservoir(SampleReservoir):
 
     buffers: dict = field(default_factory=dict)
 
-    def update(self, records, labeler, regression_labeler=None, buffer_extractor=None):
+    def update(self, records, labeler, buffer_extractor=None):
         records = list(records)
         if buffer_extractor is None:
             raise ValueError("detection updates need a buffer_extractor")
@@ -233,7 +244,7 @@ class DetectionReservoir(SampleReservoir):
             self.buffers[image_id] = subsample_rows(
                 rows, quota, rng_for(self.seed, "buffer", image_id)
             )
-        super().update(records, labeler, regression_labeler)
+        super().update(records, labeler)
 
     def _negatives_for(self, key, image_id) -> np.ndarray:
         stored = self.negatives[key][image_id]
@@ -253,11 +264,7 @@ def rpn_incremental_update(
     """Absorb a sequence into the proposal-module reservoir."""
     from . import rpn  # late import keeps the module layers acyclic
 
-    reservoir.update(
-        records,
-        rpn.rpn_labeler(grid, pos_iou, neg_iou),
-        rpn.rpn_regression_labeler(grid, reg_iou),
-    )
+    reservoir.update(records, rpn.rpn_labeler(grid, pos_iou, neg_iou, reg_iou))
 
 
 def detection_incremental_update(
@@ -280,56 +287,14 @@ def detection_incremental_update(
     clash = [c for c in new_class_ids if c in reservoir.keys()]
     if clash:
         raise ValueError(f"classes already in the reservoir: {clash}")
-    before = {
-        key: reservoir.positives[key].shape[0] for key in reservoir.keys()
-    }
     reservoir.update(
         records,
         detection.detection_labeler(class_ids, pos_iou, neg_iou),
-        detection.detection_regression_labeler(class_ids, pos_iou),
         buffer_extractor=detection.proposal_features,
     )
-    starved = [
-        c
-        for c in new_class_ids
-        if reservoir.positives[c].shape[0] - before.get(c, 0) == 0
-    ]
+    starved = [c for c in new_class_ids if reservoir.positives[c].shape[0] == 0]
     if starved:
         raise UntrainableClassError(starved, context="new classes")
-
-
-def retrain_incremental(
-    rpn_reservoir: RpnReservoir,
-    detection_reservoir: DetectionReservoir,
-    grid,
-    records,
-    new_class_ids,
-    segmentation_model,
-    config,
-    seed,
-):
-    """Re-train proposal and detection modules from the reservoirs.
-
-    Proposal and detection classifiers are rebuilt for every key from
-    the reservoir contents (fixed batch budget); the segmentation model
-    is extended with classifiers for ``new_class_ids`` trained on the new
-    ``records`` only, while all previously trained per-class classifiers
-    are carried over untouched.
-
-    ``config`` is the pipeline training configuration bundling the
-    ``rpn``, ``detection`` and ``segmentation`` sub-configs; returns the
-    three updated models.
-    """
-    from . import detection, rpn, segmentation  # late import, see above
-
-    rpn_model = rpn.train_rpn_from_reservoir(rpn_reservoir, grid, config.rpn, seed)
-    det_model = detection.train_detection_from_reservoir(
-        detection_reservoir, config.detection, seed
-    )
-    seg_model = segmentation.extend_segmentation(
-        segmentation_model, records, new_class_ids, config.segmentation, seed
-    )
-    return rpn_model, det_model, seg_model
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,14 @@ Two protocols build the same three on-line modules from a dataset of
 pre-extracted features.  ``ours`` makes a single pass and trains the
 detector on the proposals stored with the dataset; ``ours_serial`` first
 trains the proposal module, then featurizes its own proposals in a second
-pass so the detector sees adapted regions.  Stream mode converts record
-counts and declared FPS figures into a deterministic backlog calculation
-instead of measuring hardware-bound extraction speed.
+pass so the detector sees adapted regions.  Both protocols and
+``IncrementalTrainer`` run one training core: it fills the per-image
+reservoirs, where each module's labeler yields the classification and
+the regression samples of a record in one pass, mines the proposal
+module and the detector from them, and trains or extends segmentation.
+Stream mode converts record counts and declared FPS figures into a
+deterministic backlog calculation instead of measuring hardware-bound
+extraction speed.
 """
 
 from __future__ import annotations
@@ -266,22 +271,93 @@ def _check_sources(records, expected: str) -> None:
                     f" expected {expected!r}")
 
 
-def _detection_reservoir(records, class_ids, configs, config):
-    reservoir = DetectionReservoir(config=configs.detection.bootstrap,
-                                   seed=_module_seed(config.seed, "detection"))
-    detection_incremental_update(reservoir, records, class_ids,
-                                 new_class_ids=class_ids,
-                                 pos_iou=configs.detection.pos_iou,
-                                 neg_iou=configs.detection.neg_iou)
-    return reservoir
+def _fresh_reservoirs(config: ProtocolConfig) -> tuple:
+    configs = module_configs(config)
+    return (RpnReservoir(config=configs.rpn.bootstrap,
+                         seed=_module_seed(config.seed, "rpn")),
+            DetectionReservoir(config=configs.detection.bootstrap,
+                               seed=_module_seed(config.seed, "detection")))
 
 
-def _train_segmentation(records, class_ids, configs, config,
-                        ledger: TimingLedger):
+def _train_core(header: DatasetHeader, records, config: ProtocolConfig,
+                ledger: TimingLedger, reservoirs, class_ids, new_class_ids,
+                segmentation=None, featurizer=None):
+    """The training protocol behind both protocols and the incremental
+    trainer.
+
+    Fills forks of ``reservoirs`` with ``records``, mines the proposal
+    module, then the detector over ``class_ids``, and trains segmentation
+    classifiers for ``new_class_ids``, added to ``segmentation`` when one
+    is given.  A ``featurizer`` selects the serial protocol: the detector
+    and segmentation then train on the records adapted by the freshly
+    mined proposal module.  The given reservoirs are never changed, so a
+    caller that keeps the results only after this returns is left as it
+    was when any module fails to train.
+
+    Returns ``((rpn_reservoir, detection_reservoir), (rpn, detection,
+    segmentation))``.
+    """
+    configs = module_configs(config)
+    rpn_reservoir, det_reservoir = (r.fork() for r in reservoirs)
+
+    def fill_detection(records):
+        detection_incremental_update(det_reservoir, records, class_ids,
+                                     new_class_ids=new_class_ids,
+                                     pos_iou=configs.detection.pos_iou,
+                                     neg_iou=configs.detection.neg_iou)
+
+    with _timed(ledger, EXTRACTION_1, overlappable=True, extraction=True):
+        rpn_incremental_update(rpn_reservoir, records, header.grid,
+                               pos_iou=configs.rpn.pos_iou,
+                               neg_iou=configs.rpn.neg_iou,
+                               reg_iou=configs.rpn.reg_iou)
+        if featurizer is None:
+            fill_detection(records)
+    with _timed(ledger, RPN_TRAINING):
+        rpn_model = train_rpn_from_reservoir(rpn_reservoir, header.grid,
+                                             configs.rpn,
+                                             _module_seed(config.seed, "rpn"))
+    if featurizer is not None:
+        with _timed(ledger, EXTRACTION_2, extraction=True):
+            records = adapt_records(rpn_model, records, featurizer)
+        _check_sources(records, "adapted")
+    with _timed(ledger, DETECTION_TRAINING):
+        if featurizer is not None:
+            # the adapted records exist only after pass 2, so filling the
+            # reservoir from them counts as detection training
+            fill_detection(records)
+        det_model = train_detection_from_reservoir(
+            det_reservoir, configs.detection,
+            _module_seed(config.seed, "detection"))
     with _timed(ledger, SEGMENTATION_TRAINING):
-        return train_online_segmentation(
-            records, class_ids, configs.segmentation,
-            _module_seed(config.seed, "segmentation"))
+        seg_seed = _module_seed(config.seed, "segmentation")
+        if segmentation is None:
+            segmentation = train_online_segmentation(
+                records, new_class_ids, configs.segmentation, seg_seed)
+        else:
+            segmentation = extend_segmentation(
+                segmentation, records, new_class_ids, configs.segmentation,
+                seg_seed)
+    return (rpn_reservoir, det_reservoir), (rpn_model, det_model,
+                                            segmentation)
+
+
+def _train_once(header: DatasetHeader, records, config: ProtocolConfig,
+                dataset_hash, featurizer=None) -> TrainResult:
+    ledger = TimingLedger()
+    records = _materialize(records, ledger)
+    _check_sources(records, "stored")
+    class_ids = _present_class_ids(records)
+    _, heads = _train_core(header, records, config, ledger,
+                           _fresh_reservoirs(config), class_ids, class_ids,
+                           featurizer=featurizer)
+    manifest = build_manifest(config, header, len(records), dataset_hash)
+    model = PipelineModel(header.class_names, *heads, manifest=manifest)
+    if featurizer is None:
+        return TrainResult(model, ledger, proposal_source="stored")
+    return TrainResult(model, ledger, proposal_source="adapted",
+                       adapted_image_ids=frozenset(r.image_id
+                                                   for r in records))
 
 
 def train_ours(header: DatasetHeader, records, config: ProtocolConfig,
@@ -292,38 +368,8 @@ def train_ours(header: DatasetHeader, records, config: ProtocolConfig,
     extraction-equivalent pass covers the whole run and can overlap with
     acquisition in stream mode.
     """
-    ledger = TimingLedger()
-    records = _materialize(records, ledger)
-    _check_sources(records, "stored")
-    class_ids = _present_class_ids(records)
-    configs = module_configs(config)
-
-    with _timed(ledger, EXTRACTION_1, overlappable=True, extraction=True):
-        rpn_reservoir = RpnReservoir(config=configs.rpn.bootstrap,
-                                     seed=_module_seed(config.seed, "rpn"))
-        rpn_incremental_update(rpn_reservoir, records, header.grid,
-                               pos_iou=configs.rpn.pos_iou,
-                               neg_iou=configs.rpn.neg_iou,
-                               reg_iou=configs.rpn.reg_iou)
-        det_reservoir = _detection_reservoir(records, class_ids, configs,
-                                             config)
-    with _timed(ledger, RPN_TRAINING):
-        rpn_model = train_rpn_from_reservoir(rpn_reservoir, header.grid,
-                                             configs.rpn,
-                                             _module_seed(config.seed, "rpn"))
-    with _timed(ledger, DETECTION_TRAINING):
-        det_model = train_detection_from_reservoir(
-            det_reservoir, configs.detection,
-            _module_seed(config.seed, "detection"))
-    seg_model = _train_segmentation(records, class_ids, configs, config,
-                                    ledger)
-
-    manifest = build_manifest(config.replace(protocol="ours"), header,
-                              len(records), dataset_hash)
-    model = PipelineModel(class_names=header.class_names, rpn=rpn_model,
-                          detection=det_model, segmentation=seg_model,
-                          manifest=manifest)
-    return TrainResult(model, ledger, proposal_source="stored")
+    return _train_once(header, records, config.replace(protocol="ours"),
+                       dataset_hash)
 
 
 def adapt_records(rpn_model, records, featurizer):
@@ -340,50 +386,19 @@ def adapt_records(rpn_model, records, featurizer):
 
 
 def train_ours_serial(header: DatasetHeader, records, config: ProtocolConfig,
-                      featurizer, dataset_hash=None) -> TrainResult:
+                      featurizer=None, dataset_hash=None) -> TrainResult:
     """Two-pass protocol: the detector trains on adapted proposals.
 
     Pass 1 trains the proposal module from stored features; pass 2 runs it
     on every image and featurizes the resulting regions, which cannot
-    overlap with acquisition because it needs the trained module.
+    overlap with acquisition because it needs the trained module.  Without
+    a ``featurizer`` the dataset's own synthetic oracle is rebuilt.
     """
-    ledger = TimingLedger()
-    records = _materialize(records, ledger)
-    _check_sources(records, "stored")
-    class_ids = _present_class_ids(records)
-    configs = module_configs(config)
-
-    with _timed(ledger, EXTRACTION_1, overlappable=True, extraction=True):
-        rpn_reservoir = RpnReservoir(config=configs.rpn.bootstrap,
-                                     seed=_module_seed(config.seed, "rpn"))
-        rpn_incremental_update(rpn_reservoir, records, header.grid,
-                               pos_iou=configs.rpn.pos_iou,
-                               neg_iou=configs.rpn.neg_iou,
-                               reg_iou=configs.rpn.reg_iou)
-    with _timed(ledger, RPN_TRAINING):
-        rpn_model = train_rpn_from_reservoir(rpn_reservoir, header.grid,
-                                             configs.rpn,
-                                             _module_seed(config.seed, "rpn"))
-    with _timed(ledger, EXTRACTION_2, overlappable=False, extraction=True):
-        adapted = adapt_records(rpn_model, records, featurizer)
-    _check_sources(adapted, "adapted")
-    # the reservoir is filled from the adapted records, which exist only
-    # after pass 2, so filling it counts as detection training
-    with _timed(ledger, DETECTION_TRAINING):
-        det_model = train_detection_from_reservoir(
-            _detection_reservoir(adapted, class_ids, configs, config),
-            configs.detection, _module_seed(config.seed, "detection"))
-    seg_model = _train_segmentation(adapted, class_ids, configs, config,
-                                    ledger)
-
-    manifest = build_manifest(config.replace(protocol="ours_serial"), header,
-                              len(records), dataset_hash)
-    model = PipelineModel(class_names=header.class_names, rpn=rpn_model,
-                          detection=det_model, segmentation=seg_model,
-                          manifest=manifest)
-    return TrainResult(model, ledger, proposal_source="adapted",
-                       adapted_image_ids=frozenset(r.image_id
-                                                   for r in adapted))
+    if featurizer is None:
+        featurizer = featurizer_for(header)
+    return _train_once(header, records,
+                       config.replace(protocol="ours_serial"), dataset_hash,
+                       featurizer)
 
 
 def train(header: DatasetHeader, records, config: ProtocolConfig,
@@ -391,8 +406,6 @@ def train(header: DatasetHeader, records, config: ProtocolConfig,
     """Dispatch on ``config.protocol``."""
     if config.protocol == "ours":
         return train_ours(header, records, config, dataset_hash)
-    if featurizer is None:
-        featurizer = featurizer_for(header)
     return train_ours_serial(header, records, config, featurizer,
                              dataset_hash)
 
@@ -409,16 +422,15 @@ class IncrementalTrainer:
 
     def __init__(self, header: DatasetHeader, config: ProtocolConfig,
                  dataset_hash=None):
+        if config.protocol != "ours":
+            raise ValueError(
+                f"incremental training runs the 'ours' protocol on stored "
+                f"proposals, not protocol {config.protocol!r}")
         self.header = header
         self.config = config
-        self.configs = module_configs(config)
         self.dataset_hash = dataset_hash
-        self.rpn_reservoir = RpnReservoir(
-            config=self.configs.rpn.bootstrap,
-            seed=_module_seed(config.seed, "rpn"))
-        self.detection_reservoir = DetectionReservoir(
-            config=self.configs.detection.bootstrap,
-            seed=_module_seed(config.seed, "detection"))
+        self.rpn_reservoir, self.detection_reservoir = \
+            _fresh_reservoirs(config)
         self.segmentation_model = None
         self.class_ids: tuple = ()
         self.num_records = 0
@@ -428,7 +440,8 @@ class IncrementalTrainer:
         """Ingest one sequence and return the retrained pipeline.
 
         ``new_class_ids`` defaults to the classes present in the records
-        that the model has not seen yet.
+        that the model has not seen yet.  A sequence that fails to train
+        leaves the trainer as it was.
         """
         ledger = TimingLedger()
         records = _materialize(records, ledger)
@@ -438,47 +451,20 @@ class IncrementalTrainer:
             new_class_ids = sorted(seen - set(self.class_ids))
         new_class_ids = tuple(new_class_ids)
         class_ids = tuple(sorted(set(self.class_ids) | set(new_class_ids)))
+        reservoirs, heads = _train_core(
+            self.header, records, self.config, ledger,
+            (self.rpn_reservoir, self.detection_reservoir), class_ids,
+            new_class_ids, self.segmentation_model)
 
-        with _timed(ledger, EXTRACTION_1, overlappable=True,
-                    extraction=True):
-            rpn_incremental_update(self.rpn_reservoir, records,
-                                   self.header.grid,
-                                   pos_iou=self.configs.rpn.pos_iou,
-                                   neg_iou=self.configs.rpn.neg_iou,
-                                   reg_iou=self.configs.rpn.reg_iou)
-            detection_incremental_update(
-                self.detection_reservoir, records, class_ids,
-                new_class_ids=new_class_ids,
-                pos_iou=self.configs.detection.pos_iou,
-                neg_iou=self.configs.detection.neg_iou)
-        with _timed(ledger, RPN_TRAINING):
-            rpn_model = train_rpn_from_reservoir(
-                self.rpn_reservoir, self.header.grid, self.configs.rpn,
-                _module_seed(self.config.seed, "rpn"))
-        with _timed(ledger, DETECTION_TRAINING):
-            det_model = train_detection_from_reservoir(
-                self.detection_reservoir, self.configs.detection,
-                _module_seed(self.config.seed, "detection"))
-        with _timed(ledger, SEGMENTATION_TRAINING):
-            seg_seed = _module_seed(self.config.seed, "segmentation")
-            if self.segmentation_model is None:
-                self.segmentation_model = train_online_segmentation(
-                    records, new_class_ids, self.configs.segmentation,
-                    seg_seed)
-            else:
-                self.segmentation_model = extend_segmentation(
-                    self.segmentation_model, records, new_class_ids,
-                    self.configs.segmentation, seg_seed)
-
+        self.rpn_reservoir, self.detection_reservoir = reservoirs
+        self.segmentation_model = heads[2]
         self.class_ids = class_ids
         self.num_records += len(records)
         self.sequences += 1
         manifest = build_manifest(self.config, self.header,
                                   self.num_records, self.dataset_hash)
         manifest["sequences"] = self.sequences
-        model = PipelineModel(class_names=self.header.class_names,
-                              rpn=rpn_model, detection=det_model,
-                              segmentation=self.segmentation_model,
+        model = PipelineModel(self.header.class_names, *heads,
                               manifest=manifest)
         return TrainResult(model, ledger, proposal_source="stored")
 
@@ -666,11 +652,8 @@ def infer(model: PipelineModel, record, featurizer=None,
     else:
         if featurizer is None:
             raise ValueError("proposal featurization needs a featurizer")
-        proposals = [
-            Proposal(box=box,
-                     feature=featurizer.detection(record.image_id, box),
-                     is_gt=False, source="adapted")
-            for box, _ in propose(model.rpn, record)]
+        proposals = adapt_records(model.rpn, [record],
+                                  featurizer)[0].proposals
     detections = detect(model.detection, record, proposals=proposals)
     predictions = []
     for d in detections:

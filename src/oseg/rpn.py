@@ -87,47 +87,36 @@ def _location_features(record, grid: AnchorGrid) -> np.ndarray:
     return record.rpn_map.reshape(grid.num_locations, -1)
 
 
-def _gt_array(record) -> np.ndarray:
-    return np.array(
-        [g.box.as_array() for g in record.gt_objects], dtype=np.float64
-    ).reshape(-1, 4)
+def rpn_labeler(
+    grid: AnchorGrid,
+    pos_iou: float = 0.7,
+    neg_iou: float = 0.3,
+    reg_iou: float = 0.7,
+):
+    """Per-record labeler keyed by anchor-shape index.
 
-
-def rpn_labeler(grid: AnchorGrid, pos_iou: float = 0.7, neg_iou: float = 0.3):
-    """Per-record classification labeler keyed by anchor-shape index."""
-
-    def labeler(record):
-        feats = _location_features(record, grid)
-        labels, _, _ = label_anchors(grid.anchor_boxes, _gt_array(record), pos_iou, neg_iou)
-        out = {}
-        for a in range(grid.num_shapes):
-            shape_labels = labels[a::grid.num_shapes]
-            out[a] = (feats[shape_labels == 1], feats[shape_labels == -1])
-        return out
-
-    return labeler
-
-
-def rpn_regression_labeler(grid: AnchorGrid, reg_iou: float = 0.7):
-    """Per-record offset-regression labeler keyed by anchor-shape index.
-
+    Yields ``{a: (positives, negatives, reg_features, reg_targets)}``.
     Only anchors genuinely overlapping a ground truth (IoU >= reg_iou)
-    contribute; low-overlap anchors promoted to classification positives
-    as a fallback are excluded, since their offsets are outliers.
+    give offset-regression samples; low-overlap anchors promoted to
+    classification positives as a fallback are excluded, since their
+    offsets are outliers.
     """
 
     def labeler(record):
         feats = _location_features(record, grid)
-        gts = _gt_array(record)
+        gts = np.array(
+            [g.box.as_array() for g in record.gt_objects], dtype=np.float64
+        ).reshape(-1, 4)
+        labels, best_gt, best_iou = label_anchors(grid.anchor_boxes, gts, pos_iou, neg_iou)
         out = {}
-        if gts.shape[0] == 0:
-            return {a: ((), ()) for a in range(grid.num_shapes)}
-        _, best_gt, best_iou = label_anchors(grid.anchor_boxes, gts)
         for a in range(grid.num_shapes):
-            sel = best_iou[a::grid.num_shapes] >= reg_iou
-            anchors = grid.anchor_boxes[a::grid.num_shapes][sel]
-            matched = gts[best_gt[a::grid.num_shapes][sel]]
-            out[a] = (feats[sel], encode_targets(anchors, matched) if sel.any() else ())
+            shape = slice(a, None, grid.num_shapes)
+            shape_labels = labels[shape]
+            sel = best_iou[shape] >= reg_iou
+            targets = ()
+            if sel.any():
+                targets = encode_targets(grid.anchor_boxes[shape][sel], gts[best_gt[shape][sel]])
+            out[a] = (feats[shape_labels == 1], feats[shape_labels == -1], feats[sel], targets)
         return out
 
     return labeler
@@ -149,17 +138,15 @@ def build_rpn_training_sets(
     reg_iou: float = 0.7,
 ) -> dict:
     """Full (unsampled) per-shape training sets, for inspection and tests."""
-    cls = rpn_labeler(grid, pos_iou, neg_iou)
-    reg = rpn_regression_labeler(grid, reg_iou)
+    labeler = rpn_labeler(grid, pos_iou, neg_iou, reg_iou)
     pos: dict[int, list] = {a: [] for a in range(grid.num_shapes)}
     neg: dict[int, list] = {a: [] for a in range(grid.num_shapes)}
     rx: dict[int, list] = {a: [] for a in range(grid.num_shapes)}
     ry: dict[int, list] = {a: [] for a in range(grid.num_shapes)}
     for record in records:
-        for a, (p, n) in cls(record).items():
+        for a, (p, n, x, y) in labeler(record).items():
             pos[a].append(np.atleast_2d(np.asarray(p, dtype=np.float64)))
             neg[a].append(np.atleast_2d(np.asarray(n, dtype=np.float64)))
-        for a, (x, y) in reg(record).items():
             x = np.asarray(x, dtype=np.float64)
             if x.size:
                 rx[a].append(np.atleast_2d(x))

@@ -179,6 +179,43 @@ class TestTrainIncremental:
         assert manifest["sequences"] == 2
         assert manifest["num_records"] == 14
 
+    def test_uneven_split_trains_every_sequence(self, work, tmp_path, capsys):
+        # 14 images in 6 sequences: a ceil(14/6) = 3 step would make 5
+        assert run("train-incremental",
+                   "--datasets", str(work / "train.oseg"),
+                   "--sequences", "6", "--out", str(tmp_path / "inc.oseg"),
+                   "--num-batches", "2", "--batch-size", "300") == 0
+        stdout = capsys.readouterr().out
+        sizes = [int(line.split()[2]) for line in stdout.splitlines()
+                 if line.startswith("sequence ")]
+        assert sizes == [2, 2, 3, 2, 2, 3]
+
+    @pytest.mark.parametrize("count, datasets, message", [
+        ("3", 1, "--sequences 3 exceeds the 2 records"),
+        ("0", 1, "--sequences 0: need at least one"),
+        ("-2", 1, "--sequences -2: need at least one"),
+        ("2", 2, "--sequences 2 splits a single dataset; got 2 datasets"),
+    ], ids=["above-records", "zero", "negative", "several-datasets"])
+    def test_bad_sequence_count_fails(self, work, tmp_path, capsys, count,
+                                      datasets, message):
+        tiny = tmp_path / "tiny.oseg"
+        assert run("gen-synthetic", "--images", "2", "--classes", "2",
+                   "--seed", "3", "--out", str(tiny)) == 0
+        code = run("train-incremental", "--datasets", *[str(tiny)] * datasets,
+                   "--sequences", count, "--out", str(tmp_path / "m.oseg"))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.oseg").exists()
+
+    def test_serial_protocol_fails(self, work, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"protocol": "ours_serial"}))
+        code = run("train-incremental",
+                   "--datasets", str(work / "train.oseg"),
+                   "--config", str(config), "--out", str(tmp_path / "m.oseg"))
+        assert code == 2
+        assert "'ours_serial'" in capsys.readouterr().err
+
     def test_incompatible_datasets_fail(self, work, tmp_path, capsys):
         other = tmp_path / "other.oseg"
         assert run("gen-synthetic", "--images", "4", "--classes", "3",

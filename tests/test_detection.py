@@ -9,7 +9,6 @@ from oseg.detection import (
     build_detection_training_sets,
     detect,
     detection_labeler,
-    detection_regression_labeler,
     train_detection_from_reservoir,
     train_online_detection,
 )
@@ -71,7 +70,7 @@ class TestLabeling:
 
     def test_threshold_sides(self):
         labeled = detection_labeler([0])(self.record())
-        pos, neg = labeled[0]
+        pos, neg, _, _ = labeled[0]
         assert tags_of(pos) == {0, 3}
         assert tags_of(neg) == {2}          # the 0.5-IoU box is ignored
 
@@ -81,7 +80,7 @@ class TestLabeling:
 
     def test_absent_class_reports_empty(self):
         labeled = detection_labeler([0, 1])(self.record())
-        pos, neg = labeled[1]
+        pos, neg, _, _ = labeled[1]
         assert np.asarray(pos).size == 0
         assert np.asarray(neg).size == 0    # buffers stand in downstream
 
@@ -98,8 +97,7 @@ class TestLabeling:
         from oseg.geometry import apply_targets
 
         record = self.record()
-        regs = detection_regression_labeler([0])(record)
-        feats, targets = regs[0]
+        _, _, feats, targets = detection_labeler([0])(record)[0]
         assert tags_of(feats) == {0, 3}
         boxes = np.array([record.proposals[i].box.as_array() for i in (0, 3)])
         decoded, ok = apply_targets(boxes, np.asarray(targets), record.image_size)

@@ -32,6 +32,10 @@ def dict_labeler(record):
     return record.labeled
 
 
+def classification_labeler(record):
+    return {key: sides[:2] for key, sides in record.labeled.items()}
+
+
 def make_records(start, count, keys=(0,), negatives_per_image=30, positives_on=0):
     """Images with tagged negatives for every key; one image holds positives."""
     records = []
@@ -39,7 +43,7 @@ def make_records(start, count, keys=(0,), negatives_per_image=30, positives_on=0
         labeled = {}
         for key in keys:
             pos = tagged_rows(i, 2) + 1000 if i == positives_on else np.empty((0, 4))
-            labeled[key] = (pos, tagged_rows(i, negatives_per_image))
+            labeled[key] = (pos, tagged_rows(i, negatives_per_image), (), ())
         records.append(FakeRecord(i, labeled))
     return records
 
@@ -97,7 +101,7 @@ class TestReservoirBookkeeping:
         res = SampleReservoir(config=config, seed=11)
         res.update(records, dict_labeler)
         pool = res.to_pool()
-        batch = collect_pool(records, dict_labeler, config, seed=11)
+        batch = collect_pool(records, classification_labeler, config, seed=11)
         assert pool.num_images == batch.num_images
         assert set(pool.keys()) == set(batch.keys())
         for key in batch.keys():
@@ -132,19 +136,20 @@ class TestReservoirBookkeeping:
     def test_feature_width_change_rejected(self):
         res = SampleReservoir(config=small_config(), seed=0)
         res.update(make_records(0, 3), dict_labeler)
-        bad = [FakeRecord(9, {0: (np.empty((0, 6)), tagged_rows(9, 4, width=6))})]
+        bad = [FakeRecord(9, {0: (np.empty((0, 6)), tagged_rows(9, 4, width=6), (), ())})]
         with pytest.raises(ValueError, match="width"):
             res.update(bad, dict_labeler)
 
     def test_regression_side_channel_accumulates(self):
-        def reg_labeler(record):
+        def labeler(record):
             i = record.image_id
+            pos, neg, _, _ = record.labeled[0]
             if i % 2:
-                return {0: ((), ())}
-            return {0: (tagged_rows(i, 3), np.full((3, 4), float(i)))}
+                return {0: (pos, neg, (), ())}
+            return {0: (pos, neg, tagged_rows(i, 3), np.full((3, 4), float(i)))}
 
         res = SampleReservoir(config=small_config(), seed=0)
-        res.update(make_records(0, 4), dict_labeler, reg_labeler)
+        res.update(make_records(0, 4), labeler)
         assert res.reg_features[0].shape == (6, 4)
         assert res.reg_targets[0].shape == (6, 4)
         assert set(res.reg_targets[0][:, 0]) == {0.0, 2.0}
@@ -173,7 +178,7 @@ class TestDetectionBuffers:
             pos = tagged_rows(i, 1) + 500 if present else np.empty((0, 4))
             neg = tagged_rows(i, 12) if present else np.empty((0, 4))
             records.append(
-                FakeRecord(i, {0: (pos, neg)}, proposals_rows=tagged_rows(i, 20) - 100)
+                FakeRecord(i, {0: (pos, neg, (), ())}, proposals_rows=tagged_rows(i, 20) - 100)
             )
         return records
 
@@ -210,6 +215,25 @@ class TestDetectionBuffers:
         for image_id, original in first.items():
             assert res.buffers[image_id].shape[0] <= quota
             assert set(map(tuple, res.buffers[image_id])) <= original
+
+    def test_fork_takes_updates_the_original_does_not(self):
+        res = DetectionReservoir(config=small_config(4, 40), seed=0)
+        records = self.make_detection_records(0, 5, with_class=lambda i: True)
+        res.update(records, dict_labeler, buffer_extractor=self.extractor)
+        before = res.to_pool()
+        buffers = dict(res.buffers)
+        fork = res.fork()
+        later = self.make_detection_records(5, 30, with_class=lambda i: i % 2)
+        fork.update(later, dict_labeler, buffer_extractor=self.extractor)
+        assert (fork.num_images, res.num_images) == (35, 5)
+        assert res.image_ids == list(range(5))
+        assert res.buffers.keys() == buffers.keys()
+        for image_id, rows in buffers.items():
+            assert res.buffers[image_id] is rows
+        after = res.to_pool()
+        np.testing.assert_array_equal(after.positives[0], before.positives[0])
+        for x, y in zip(after.negatives[0], before.negatives[0], strict=True):
+            np.testing.assert_array_equal(x, y)
 
     def test_update_requires_extractor(self):
         res = DetectionReservoir(config=small_config(), seed=0)

@@ -1,5 +1,6 @@
 """Training protocols, stream timing, model selection and inference."""
 
+import dataclasses
 import time
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 
 from oseg import pipeline
 from oseg.evaluation import evaluate, mask_iou
+from oseg.incremental import UntrainableClassError
 from oseg.model_io import classifier_bytes, model_bytes
 from oseg.pipeline import (ACQUISITION, BACKLOG, DETECTION_TRAINING,
                            EXTRACTION_1, EXTRACTION_2, ProtocolConfig,
@@ -299,18 +301,39 @@ class TestIncrementalTrainer:
                                            config, ours):
         trainer = pipeline.IncrementalTrainer(header, config)
         result = quiet_train(trainer.add_sequence, train_records)
-        for bank in ("classifiers", "regressors"):
-            assert set(getattr(result.model.detection, bank)) == \
-                set(getattr(ours.model.detection, bank))
-        for n, clf in result.model.detection.classifiers.items():
-            assert classifier_bytes(clf) == \
-                classifier_bytes(ours.model.detection.classifiers[n])
-        for key, clf in result.model.rpn.classifiers.items():
-            assert classifier_bytes(clf) == \
-                classifier_bytes(ours.model.rpn.classifiers[key])
-        for n, clf in result.model.segmentation.classifiers.items():
-            assert classifier_bytes(clf) == \
-                classifier_bytes(ours.model.segmentation.classifiers[n])
+        manifest = dict(result.model.manifest)
+        assert manifest.pop("sequences") == 1
+        model = dataclasses.replace(result.model, manifest=manifest)
+        assert model_bytes(model) == model_bytes(ours.model)
+
+    def test_failed_sequence_leaves_trainer_unchanged(self, config):
+        world = small_world(class_names=("a", "b", "c"), seed=21,
+                            active_classes=(0, 1))
+        first = list(world.generate(10))
+        lacking = list(world.generate(10, start_id=100))
+        world.active_classes = (0, 1, 2)
+        second = list(world.generate(10, start_id=200))
+        trainer = pipeline.IncrementalTrainer(world.header(), config)
+        quiet_train(trainer.add_sequence, first)
+        for _ in range(2):  # a retry fails the same way
+            with pytest.raises(UntrainableClassError):
+                quiet_train(trainer.add_sequence, lacking, new_class_ids=[2])
+        assert trainer.class_ids == (0, 1)
+        assert trainer.rpn_reservoir.num_images == 10
+        assert trainer.detection_reservoir.num_images == 10
+        assert sorted(trainer.detection_reservoir.keys()) == [0, 1]
+        assert (trainer.num_records, trainer.sequences) == (10, 1)
+        got = quiet_train(trainer.add_sequence, second)
+
+        clean = pipeline.IncrementalTrainer(world.header(), config)
+        quiet_train(clean.add_sequence, first)
+        want = quiet_train(clean.add_sequence, second)
+        assert model_bytes(got.model) == model_bytes(want.model)
+
+    def test_serial_protocol_rejected(self, header, config):
+        with pytest.raises(ValueError, match="'ours_serial'"):
+            pipeline.IncrementalTrainer(header,
+                                        config.replace(protocol="ours_serial"))
 
     def test_new_classes_detected_automatically(self, config):
         world = small_world(class_names=("a", "b", "c"), seed=21,

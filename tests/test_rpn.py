@@ -15,7 +15,6 @@ from oseg.rpn import (
     build_rpn_training_sets,
     propose,
     rpn_labeler,
-    rpn_regression_labeler,
     train_online_rpn,
     train_rpn_from_reservoir,
 )
@@ -88,10 +87,9 @@ class TestLabeling:
         loc = 5 * self.grid.map_size[1] + 5
         assert locations_of(labeled[0][0]) == {loc}          # forced, unique
         assert labeled[1][0].shape[0] == 0 and labeled[2][0].shape[0] == 0
-        # ... but the regression labeler refuses it (0.5625 < 0.7)
-        regs = rpn_regression_labeler(self.grid)(record)
+        # ... but regression refuses it (0.5625 < 0.7)
         for a in range(3):
-            assert np.asarray(regs[a][0]).size == 0
+            assert np.asarray(labeled[a][2]).size == 0
 
     def test_exact_half_iou_is_ignored(self):
         # 48-wide gt displaced by 16 = w/3 has IoU exactly (48-16)/(48+16)
@@ -113,8 +111,7 @@ class TestLabeling:
         for a in range(3):
             assert labeled[a][0].shape[0] == 0
             assert labeled[a][1].shape[0] == self.grid.num_locations
-        regs = rpn_regression_labeler(self.grid)(record)
-        assert all(np.asarray(regs[a][0]).size == 0 for a in range(3))
+        assert all(np.asarray(labeled[a][2]).size == 0 for a in range(3))
 
     def test_regression_targets_reconstruct_gt(self):
         from oseg.geometry import apply_targets
@@ -130,11 +127,11 @@ class TestLabeling:
         from oseg.geometry import label_anchors
 
         for record in records:
-            regs = rpn_regression_labeler(grid)(record)
+            labeled = rpn_labeler(grid)(record)
             gts = np.array([g.box.as_array() for g in record.gt_objects])
             _, _, best_iou = label_anchors(grid.anchor_boxes, gts)
             gt_boxes = [g.box for g in record.gt_objects]
-            for a, (feats, targets) in regs.items():
+            for a, (_, _, feats, targets) in labeled.items():
                 sel = best_iou[a :: grid.num_shapes] >= 0.7
                 assert np.atleast_2d(np.asarray(feats)).shape[0] in (0, int(sel.sum()))
                 if np.asarray(feats).size == 0:
