@@ -136,35 +136,42 @@ def apply_targets(src, t, image_size) -> tuple[np.ndarray, np.ndarray]:
     return out, valid
 
 
-def nms(boxes, scores, iou_threshold: float) -> np.ndarray:
+def nms(boxes, scores, iou_threshold: float, limit: int | None = None) -> np.ndarray:
     """Greedy non-maximum suppression; returns kept indices.
 
     Boxes are visited in descending score order (ties broken by lower index)
     and kept unless they overlap an already kept box above the threshold.
+    The pass stops once ``limit`` boxes are kept, so the result equals the
+    first ``limit`` indices of the unlimited one.  IoU rows are computed
+    only for kept boxes, against the boxes after them in score order.
     """
     boxes = _as_boxes(boxes)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (boxes.shape[0],):
         raise ValueError("scores must be 1-d and match the box count")
     order = np.argsort(-scores, kind="stable")
+    x1, y1, x2, y2 = np.ascontiguousarray(boxes[order].T)
+    areas = (x2 - x1) * (y2 - y1)
     keep = []
-    suppressed = np.zeros(len(order), dtype=bool)
-    areas = box_areas(boxes)
-    for pos, i in enumerate(order):
-        if suppressed[pos]:
-            continue
-        keep.append(i)
-        rest = order[pos + 1:]
-        if rest.size == 0:
+    suppressed = np.zeros(order.size, dtype=bool)
+    pos = 0
+    while order.size and (limit is None or len(keep) < limit):
+        keep.append(order[pos])
+        later = suppressed[pos + 1:]
+        if not later.size:
             break
-        lt = np.maximum(boxes[i, :2], boxes[rest, :2])
-        rb = np.minimum(boxes[i, 2:], boxes[rest, 2:])
-        wh = np.clip(rb - lt, 0.0, None)
-        inter = wh[:, 0] * wh[:, 1]
-        union = areas[i] + areas[rest] - inter
+        rest = slice(pos + 1, None)
+        w = np.maximum(np.minimum(x2[pos], x2[rest]) - np.maximum(x1[pos], x1[rest]), 0.0)
+        h = np.maximum(np.minimum(y2[pos], y2[rest]) - np.maximum(y1[pos], y1[rest]), 0.0)
+        inter = w * h
+        union = areas[pos] + areas[rest] - inter
         with np.errstate(invalid="ignore", divide="ignore"):
             ov = np.where(union > 0.0, inter / union, 0.0)
-        suppressed[pos + 1:] |= ov > iou_threshold
+        later |= ov > iou_threshold
+        step = int(later.argmin())
+        if later[step]:
+            break  # every later box is suppressed
+        pos += 1 + step
     return np.array(keep, dtype=np.int64)
 
 

@@ -204,8 +204,9 @@ class WorldFeaturizer:
     def __init__(self, world):
         self.world = world
 
-    def detection(self, image_id: int, box) -> np.ndarray:
-        return self.world.detection_feature(image_id, box)
+    def detection(self, image_id: int, boxes) -> np.ndarray:
+        """One ``det_dim`` row per box of the sequence ``boxes``."""
+        return self.world.detection_features(image_id, boxes)
 
     def mask(self, image_id: int, box) -> np.ndarray:
         return self.world.mask_feature_grid(image_id, box)[0]
@@ -376,11 +377,11 @@ def adapt_records(rpn_model, records, featurizer):
     """Replace stored proposals with featurized output of a trained RPN."""
     adapted = []
     for record in records:
+        boxes = [box for box, _ in propose(rpn_model, record)]
+        features = featurizer.detection(record.image_id, boxes)
         proposals = tuple(
-            Proposal(box=box,
-                     feature=featurizer.detection(record.image_id, box),
-                     is_gt=False, source="adapted")
-            for box, _ in propose(rpn_model, record))
+            Proposal(box=box, feature=feature, is_gt=False, source="adapted")
+            for box, feature in zip(boxes, features))
         adapted.append(dataclasses.replace(record, proposals=proposals))
     return adapted
 

@@ -239,8 +239,8 @@ def propose(model: OnlineRpnModel, record) -> list:
     order = order[np.isfinite(flat_scores[order])]
     if order.size == 0:
         return []
-    keep = nms(flat_boxes[order], flat_scores[order], model.config.nms_iou)
-    keep = keep[: model.config.post_nms_top_k]
+    keep = nms(flat_boxes[order], flat_scores[order], model.config.nms_iou,
+               limit=model.config.post_nms_top_k)
     return [
         (Box.from_array(flat_boxes[order[i]]), float(flat_scores[order[i]]))
         for i in keep

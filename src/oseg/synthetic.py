@@ -36,7 +36,6 @@ from .geometry import (
     BinaryMask,
     Box,
     ellipse_mask,
-    iou,
     iou_matrix,
     pixel_bounds,
 )
@@ -54,9 +53,19 @@ class PlacedObject:
     box: Box
 
 
-def _quantized(box: Box) -> tuple[str, str, str, str]:
-    # 0.5 px quantization keeps the noise hash stable across float jitter
-    return tuple("%.1f" % (np.round(v * 2.0) / 2.0) for v in box.as_array())
+def _corners(boxes) -> np.ndarray:
+    """``(n, 4)`` float64 corners of a list of boxes, also when it is empty."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
+
+
+def _quantized(coords: np.ndarray) -> list[tuple[str, str, str, str]]:
+    """Noise-seed components of each ``(n, 4)`` box row.
+
+    0.5 px quantization keeps the noise hash stable across float jitter.
+    """
+    cells = np.round(np.reshape(coords, (-1, 4)) * 2.0) / 2.0
+    return [tuple("%.1f" % v for v in row) for row in cells.tolist()]
 
 
 def _orthonormal_rows(count: int, dim: int, rng) -> np.ndarray:
@@ -238,16 +247,26 @@ class SyntheticWorld:
         out += self._noise("noise-rpn", out.shape, image_id)
         return out
 
-    def detection_feature(self, image_id: int, box: Box) -> np.ndarray:
-        self._check_inside(box)
-        total = 0.0
-        out = np.zeros(self.det_dim)
-        for obj in self.layout(image_id):
-            w = iou(box, obj.box)
-            out += w * self._det_protos[obj.class_id]
-            total += w
-        out += max(0.0, 1.0 - total) * self._det_background
-        out += self._noise("noise-det", out.shape, image_id, *_quantized(box))
+    def detection_features(self, image_id: int, boxes) -> np.ndarray:
+        """Region vectors of a sequence of boxes, one ``det_dim`` row each.
+
+        Each row is accumulated in layout order and draws its noise from
+        its own box's stream, so it does not depend on the other boxes.
+        """
+        boxes = list(boxes)
+        for box in boxes:
+            self._check_inside(box)
+        coords = _corners(boxes)
+        objects = self.layout(image_id)
+        weights = iou_matrix(coords, _corners([o.box for o in objects]))
+        out = np.zeros((len(boxes), self.det_dim))
+        total = np.zeros(len(boxes))
+        for j, obj in enumerate(objects):
+            out += weights[:, j, None] * self._det_protos[obj.class_id]
+            total += weights[:, j]
+        out += np.maximum(1.0 - total, 0.0)[:, None] * self._det_background
+        for row, cell in zip(out, _quantized(coords)):
+            row += self._noise("noise-det", row.shape, image_id, *cell)
         return out
 
     def _grid_points(self, box: Box) -> tuple[np.ndarray, np.ndarray]:
@@ -275,12 +294,13 @@ class SyntheticWorld:
             inside = self._inside_object(obj, gx, gy) & ~bits
             feats[inside] = self._seg_protos[obj.class_id]
             bits |= inside
-        feats += self._noise("noise-seg", feats.shape, image_id, *_quantized(box))
+        feats += self._noise("noise-seg", feats.shape, image_id,
+                             *_quantized(box.as_array())[0])
         return feats, bits
 
     def oracle_features(self, image_id: int, box: Box) -> tuple[np.ndarray, np.ndarray]:
         """Featurize an arbitrary in-image box exactly as storage would."""
-        det = self.detection_feature(image_id, box)
+        det = self.detection_features(image_id, [box])[0]
         seg, _ = self.mask_feature_grid(image_id, box)
         return det, seg
 
@@ -313,18 +333,15 @@ class SyntheticWorld:
     def _stored_proposals(self, image_id: int) -> list[Proposal]:
         rng = rng_for(self.seed, "proposals", image_id)
         objects = self.layout(image_id)
-        out: list[Proposal] = []
+        boxes: list[Box] = []
         if self.include_gt_proposals:
-            for obj in objects:
-                det = self.detection_feature(image_id, obj.box)
-                out.append(Proposal(obj.box, det, is_gt=True, source="stored"))
+            boxes.extend(obj.box for obj in objects)
+        num_gt = len(boxes)
         for obj in objects:
             for k in range(self.proposals_per_gt):
                 lo, hi = self._IOU_BANDS[k % len(self._IOU_BANDS)]
                 target = float(rng.uniform(lo, hi))
-                box = self._jitter_box(obj.box, target, rng)
-                det = self.detection_feature(image_id, box)
-                out.append(Proposal(box, det, is_gt=False, source="stored"))
+                boxes.append(self._jitter_box(obj.box, target, rng))
         w_img, h_img = self.image_size
         if objects:
             gt_arr = np.stack([o.box.as_array() for o in objects])
@@ -338,10 +355,12 @@ class SyntheticWorld:
                 y1 = float(rng.uniform(0, h_img - bh))
                 box = Box(x1, y1, x1 + bw, y1 + bh)
                 if gt_arr is None or iou_matrix(box.as_array(), gt_arr).max() < 0.3:
-                    det = self.detection_feature(image_id, box)
-                    out.append(Proposal(box, det, is_gt=False, source="stored"))
+                    boxes.append(box)
                     break
-        return out
+        # featurizing draws nothing from ``rng``, so it can run last
+        feats = self.detection_features(image_id, boxes)
+        return [Proposal(box, det, is_gt=i < num_gt, source="stored")
+                for i, (box, det) in enumerate(zip(boxes, feats))]
 
     def render_record(self, image_id: int) -> FeatureRecord:
         objects = self.layout(image_id)

@@ -1,6 +1,7 @@
 """Dataset format round-trips and synthetic oracle formulas."""
 
 import gc
+import re
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from oseg.feature_store import (
     write_dataset,
 )
 from oseg.geometry import Box, iou, iou_matrix, pixel_bounds
+from oseg.seeding import rng_for
 from oseg.synthetic import SyntheticWorld, generate_dataset
 
 NAMES = ("mug", "drill", "banana", "scissors", "clamp")
@@ -194,14 +196,14 @@ def test_gt_box_feature_equals_prototype():
     world = small_world(class_names=("only",), max_objects=1)
     record = world.render_record(0)
     (gt,) = record.gt_objects
-    feature = world.detection_feature(0, gt.box)
+    feature = world.detection_features(0, [gt.box])[0]
     assert np.array_equal(feature, world.prototypes("det")[gt.class_id])
 
 
 def test_disjoint_box_is_background():
     world = small_world(max_objects=1)
     world.set_layout(0, [(2, Box(40.0, 40.0, 100.0, 100.0))])
-    feature = world.detection_feature(0, Box(200.0, 200.0, 260.0, 260.0))
+    feature = world.detection_features(0, [Box(200.0, 200.0, 260.0, 260.0)])[0]
     assert np.array_equal(feature, world.background_prototype("det"))
 
 
@@ -212,7 +214,7 @@ def test_half_iou_mixes_prototype_and_background():
     query = Box(120.0, 100.0, 180.0, 160.0)
     assert iou(query, Box(100.0, 100.0, 160.0, 160.0)) == 0.5
     expected = 0.5 * world.prototypes("det")[1] + 0.5 * world.background_prototype("det")
-    got = world.detection_feature(0, query)
+    got = world.detection_features(0, [query])[0]
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
 
 
@@ -231,6 +233,69 @@ def test_oracle_rejects_outside_box():
     world = small_world()
     with pytest.raises(ValueError, match="outside image"):
         world.oracle_features(0, Box(300.0, 10.0, 340.0, 50.0))
+
+
+def detection_feature_reference(world, image_id, box):
+    """The region-vector formula for one box, written out term by term."""
+    out = np.zeros(world.det_dim)
+    total = 0.0
+    for obj in world.layout(image_id):
+        w = iou(box, obj.box)
+        out += w * world.prototypes("det")[obj.class_id]
+        total += w
+    out += max(0.0, 1.0 - total) * world.background_prototype("det")
+    if world.noise:
+        cell = ["%.1f" % (np.round(v * 2.0) / 2.0) for v in box.as_array()]
+        rng = rng_for(world.seed, "noise-det", image_id, *cell)
+        out += rng.normal(0.0, world.noise / np.sqrt(world.det_dim),
+                          size=world.det_dim)
+    return out
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_detection_rows_equal_one_box_calls(noise):
+    world = small_world(noise=noise, seed=5, max_objects=3)
+    record = world.render_record(2)
+    boxes = [p.box for p in record.proposals] + [Box(1.0, 1.0, 9.0, 9.0)]
+    order = rng_for(5, "shuffle").permutation(len(boxes))
+    shuffled = [boxes[i] for i in order]
+    repeated = shuffled[:4] + shuffled[:4] + shuffled[2:3]
+    for batch in (shuffled, repeated):
+        rows = world.detection_features(2, batch)
+        assert rows.shape == (len(batch), world.det_dim)
+        for box, row in zip(batch, rows):
+            one = world.detection_features(2, [box])
+            assert row.tobytes() == one[0].tobytes()
+            want = detection_feature_reference(world, 2, box)
+            assert row.tobytes() == want.tobytes()
+
+
+def test_empty_box_list():
+    world = small_world(noise=0.3)
+    assert world.detection_features(0, []).shape == (0, world.det_dim)
+
+
+def test_image_without_objects_featurizes():
+    world = small_world(noise=0.3)
+    world.set_layout(0, [])
+    boxes = [Box(10.0, 10.0, 50.0, 50.0), Box(100.0, 20.0, 180.0, 90.0)]
+    rows = world.detection_features(0, boxes)
+    for box, row in zip(boxes, rows):
+        assert row.tobytes() == detection_feature_reference(world, 0, box).tobytes()
+    quiet = small_world(noise=0.0)
+    quiet.set_layout(0, [])
+    for row in quiet.detection_features(0, boxes):
+        assert np.array_equal(row, quiet.background_prototype("det"))
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_outside_box_named_wherever_it_sits(position):
+    world = small_world()
+    bad = Box(300.0, 10.0, 340.0, 50.0)
+    boxes = [Box(10.0, 10.0, 50.0, 50.0), Box(60.0, 60.0, 90.0, 90.0)]
+    boxes.insert(position, bad)
+    with pytest.raises(ValueError, match=re.escape(f"box {bad} outside image")):
+        world.detection_features(0, boxes)
 
 
 def test_oracle_quantization_determinism():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oseg.geometry import (
     AnchorGrid,
@@ -133,6 +135,66 @@ class TestNms:
                     continue
                 better = kept[scores[keep] >= scores[i]]
                 assert iou_matrix(boxes[i], better).max() > 0.4
+
+
+def nms_reference(boxes, scores, iou_threshold):
+    """Greedy NMS as one suppression row per visited box, the plain loop."""
+    boxes = np.asarray(boxes, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(-scores, kind="stable")
+    keep = []
+    suppressed = np.zeros(len(order), dtype=bool)
+    areas = box_areas(boxes)
+    for pos, i in enumerate(order):
+        if suppressed[pos]:
+            continue
+        keep.append(i)
+        rest = order[pos + 1:]
+        if rest.size == 0:
+            break
+        lt = np.maximum(boxes[i, :2], boxes[rest, :2])
+        rb = np.minimum(boxes[i, 2:], boxes[rest, 2:])
+        wh = np.clip(rb - lt, 0.0, None)
+        inter = wh[:, 0] * wh[:, 1]
+        union = areas[i] + areas[rest] - inter
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ov = np.where(union > 0.0, inter / union, 0.0)
+        suppressed[pos + 1:] |= ov > iou_threshold
+    return np.array(keep, dtype=np.int64)
+
+
+@st.composite
+def nms_inputs(draw):
+    """Half-pixel boxes on a small canvas, so overlaps, IoUs exactly at the
+    threshold, zero-area boxes, duplicate boxes and equal scores all occur."""
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    corner = rng.integers(0, 40, size=(n, 2)) / 2.0
+    size = rng.integers(0, 24, size=(n, 2)) / 2.0
+    boxes = np.hstack([corner, corner + size])
+    dupes = rng.random(n) < 0.25
+    if n:
+        boxes[dupes] = boxes[rng.integers(0, n, size=int(dupes.sum()))]
+    scores = rng.integers(0, draw(st.integers(1, 8)), size=n) / 4.0
+    threshold = draw(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0))
+    return boxes, scores, threshold
+
+
+class TestNmsOracle:
+    @settings(deadline=None)
+    @given(nms_inputs())
+    def test_matches_reference_loop(self, inputs):
+        boxes, scores, threshold = inputs
+        assert np.array_equal(nms(boxes, scores, threshold),
+                              nms_reference(boxes, scores, threshold))
+
+    @settings(deadline=None)
+    @given(nms_inputs(), st.integers(0, 45))
+    def test_limit_is_a_prefix(self, inputs, limit):
+        boxes, scores, threshold = inputs
+        full = nms(boxes, scores, threshold)
+        assert np.array_equal(nms(boxes, scores, threshold, limit=limit),
+                              full[:limit])
 
 
 class TestAnchorGrid:

@@ -292,8 +292,28 @@ class TestAdaptRecords:
         adapted = pipeline.adapt_records(ours.model.rpn, [record],
                                          featurizer)[0]
         probe = adapted.proposals[0]
-        want = featurizer.detection(record.image_id, probe.box)
+        want = featurizer.detection(record.image_id, [probe.box])[0]
         assert np.array_equal(probe.feature, want)
+
+    def test_one_featurizer_call_per_record(self, ours, train_records,
+                                            featurizer, monkeypatch):
+        # a tracer that wraps WorldFeaturizer.detection must see every
+        # detection feature adapt_records uses, one call per record
+        calls = []
+        original = WorldFeaturizer.detection
+
+        def counting(self, image_id, boxes):
+            rows = original(self, image_id, boxes)
+            calls.append(rows)
+            return rows
+
+        monkeypatch.setattr(WorldFeaturizer, "detection", counting)
+        adapted = pipeline.adapt_records(ours.model.rpn, train_records[:3],
+                                         featurizer)
+        assert len(calls) == 3
+        for rows, record in zip(calls, adapted):
+            features = np.stack([p.feature for p in record.proposals])
+            assert np.array_equal(rows, features)
 
 
 class TestIncrementalTrainer:
@@ -515,8 +535,8 @@ class TestFeaturizer:
         rebuilt = pipeline.featurizer_for(header)
         record = test_records[0]
         box = record.gt_objects[0].box
-        assert np.array_equal(rebuilt.detection(record.image_id, box),
-                              featurizer.detection(record.image_id, box))
+        assert np.array_equal(rebuilt.detection(record.image_id, [box]),
+                              featurizer.detection(record.image_id, [box]))
         assert np.array_equal(rebuilt.mask(record.image_id, box),
                               featurizer.mask(record.image_id, box))
 
@@ -525,5 +545,5 @@ class TestFeaturizer:
         for proposal in record.proposals:
             if not proposal.is_gt:
                 continue
-            want = featurizer.detection(record.image_id, proposal.box)
+            want = featurizer.detection(record.image_id, [proposal.box])[0]
             assert np.allclose(proposal.feature, want)
