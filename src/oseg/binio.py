@@ -7,8 +7,10 @@ reports the byte offset where parsing failed.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
+from contextlib import contextmanager
 
 
 class FormatError(ValueError):
@@ -19,6 +21,18 @@ class FormatError(ValueError):
         self.offset = offset
 
 
+@contextmanager
+def malformed(what: str, offset: int):
+    """Report a missing or ill-typed field, or a value its type rejects
+    (a degenerate box, a negative shape), as a :class:`FormatError`."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed {what}: {exc}", offset) from exc
+
+
 def canonical_json(obj) -> bytes:
     """Serialize with sorted keys and fixed separators; byte-stable."""
     return json.dumps(
@@ -27,13 +41,14 @@ def canonical_json(obj) -> bytes:
 
 
 def read_exact(fh, n: int, what: str) -> bytes:
+    """Read ``n`` bytes; a length beyond the end of the file is checked
+    before anything is allocated for it."""
     offset = fh.tell()
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(
-            f"truncated {what}: wanted {n} bytes, got {len(data)}", offset
-        )
-    return data
+    left = fh.seek(0, io.SEEK_END) - offset
+    fh.seek(offset)
+    if n > left:
+        raise FormatError(f"truncated {what}: wanted {n} bytes, got {left}", offset)
+    return fh.read(n)
 
 
 def write_preamble(fh, magic: bytes, version: int, header) -> None:
@@ -54,9 +69,10 @@ def read_preamble(fh, magic: bytes, supported_versions) -> tuple[int, dict]:
         raise FormatError(f"unsupported format version {version}", fh.tell() - 4)
     length = struct.unpack("<Q", read_exact(fh, 8, "header length"))[0]
     offset = fh.tell()
+    blob = read_exact(fh, length, "header")
     try:
-        header = json.loads(read_exact(fh, length, "header"))
-    except json.JSONDecodeError as exc:
+        header = json.loads(blob)
+    except ValueError as exc:  # also bytes that are not UTF-8
         raise FormatError(f"header is not valid JSON: {exc}", offset) from exc
     if not isinstance(header, dict):
         raise FormatError("header must be a JSON object", offset)

@@ -19,11 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Box, apply_targets, encode_targets, iou_matrix, nms
-from .incremental import (
-    DetectionReservoir,
-    UntrainableClassError,
-    detection_incremental_update,
-)
+from .incremental import DetectionReservoir, UntrainableClassError
 from .kernels import train_rls
 from .minibootstrap import BootstrapConfig, run_minibootstrap
 
@@ -125,66 +121,6 @@ def detection_labeler(class_ids, pos_iou: float = 0.6, neg_iou: float = 0.3):
     return labeler
 
 
-@dataclass
-class DetectionTrainingSet:
-    positives: np.ndarray
-    negatives: np.ndarray
-    reg_features: np.ndarray
-    reg_targets: np.ndarray
-
-
-def build_detection_training_sets(
-    records,
-    class_ids,
-    pos_iou: float = 0.6,
-    neg_iou: float = 0.3,
-) -> dict:
-    """Full per-class sets under the plain labeling rule, for inspection.
-
-    Here an image without class-n ground truths contributes all its
-    regions as class-n negatives (vacuously below the threshold); the
-    reservoir path realizes the same distribution through its buffers.
-
-    Raises:
-        UntrainableClassError: listing every class that found no positive.
-    """
-    class_ids = tuple(class_ids)
-    pos: dict[int, list] = {n: [] for n in class_ids}
-    neg: dict[int, list] = {n: [] for n in class_ids}
-    rx: dict[int, list] = {n: [] for n in class_ids}
-    ry: dict[int, list] = {n: [] for n in class_ids}
-    labeler = detection_labeler(class_ids, pos_iou, neg_iou)
-    for record in records:
-        features = proposal_features(record)
-        if features.shape[0] == 0:
-            continue
-        present = {g.class_id for g in record.gt_objects}
-        for n, (p, q, x, y) in labeler(record).items():
-            pos[n].append(np.atleast_2d(np.asarray(p, dtype=np.float64)))
-            neg[n].append(q if n in present else features)
-            x = np.asarray(x, dtype=np.float64)
-            if x.size:
-                rx[n].append(np.atleast_2d(x))
-                ry[n].append(np.atleast_2d(np.asarray(y, dtype=np.float64)))
-
-    def stack(parts, width):
-        parts = [p for p in parts if p.size]
-        return np.concatenate(parts) if parts else np.empty((0, width))
-
-    out = {}
-    for n in class_ids:
-        out[n] = DetectionTrainingSet(
-            positives=stack(pos[n], 0),
-            negatives=stack(neg[n], 0),
-            reg_features=stack(rx[n], 0),
-            reg_targets=stack(ry[n], 4),
-        )
-    starved = [n for n in class_ids if out[n].positives.shape[0] == 0]
-    if starved:
-        raise UntrainableClassError(starved)
-    return out
-
-
 def train_detection_from_reservoir(
     reservoir: DetectionReservoir,
     config: DetectionTrainConfig,
@@ -211,25 +147,6 @@ def train_detection_from_reservoir(
         regressors=regressors,
         config=config.inference,
     )
-
-
-def train_online_detection(
-    records,
-    class_ids,
-    config: DetectionTrainConfig,
-    seed,
-) -> OnlineDetectionModel:
-    """One-shot training path (single-sequence reservoir)."""
-    reservoir = DetectionReservoir(config=config.bootstrap, seed=seed)
-    detection_incremental_update(
-        reservoir,
-        records,
-        class_ids,
-        new_class_ids=class_ids,
-        pos_iou=config.pos_iou,
-        neg_iou=config.neg_iou,
-    )
-    return train_detection_from_reservoir(reservoir, config, seed)
 
 
 def detect(model: OnlineDetectionModel, record, proposals=None) -> list:

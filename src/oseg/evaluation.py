@@ -36,13 +36,6 @@ class InstancePrediction:
             raise ValueError("prediction score must be finite")
 
 
-def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
-    """Pixel IoU in shared image coordinates; two empty masks are an error."""
-    if a.area == 0 and b.area == 0:
-        raise ValueError("mask IoU is undefined when both masks are empty")
-    return geometry.mask_iou(a, b)
-
-
 @dataclass(frozen=True)
 class ClassScore:
     """Per-class tally at one (kind, threshold) cell."""
@@ -98,7 +91,7 @@ def _overlap(pred: InstancePrediction, gt, kind: str) -> float:
     if pred.mask.area == 0:
         # empty prediction never overlaps; avoids the both-empty error
         return 0.0
-    return mask_iou(pred.mask, gt.mask)
+    return geometry.mask_iou(pred.mask, gt.mask)
 
 
 def _sorted_class_predictions(predictions, class_id: int):

@@ -219,7 +219,7 @@ def _unpack_record(payload: bytes, header: DatasetHeader, offset: int) -> Featur
         raise FormatError("record meta overruns payload", offset)
     try:
         meta = json.loads(payload[8:8 + meta_len])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bytes that are not UTF-8
         raise FormatError(f"record meta is not valid JSON: {exc}", offset) from exc
     blob = payload[8 + meta_len:]
     pos = 0
@@ -305,7 +305,8 @@ def read_dataset(path) -> tuple[DatasetHeader, Iterator[FeatureRecord]]:
     fh = open(path, "rb")
     try:
         _, raw = binio.read_preamble(fh, DATASET_MAGIC, {DATASET_VERSION})
-        header = DatasetHeader.from_json(raw)
+        with binio.malformed("dataset header", len(DATASET_MAGIC) + 12):
+            header = DatasetHeader.from_json(raw)
     except Exception:
         fh.close()
         raise
@@ -317,7 +318,9 @@ def read_dataset(path) -> tuple[DatasetHeader, Iterator[FeatureRecord]]:
                 payload = binio.read_block(fh)
                 if payload is None:
                     return
-                yield _unpack_record(payload, header, offset)
+                with binio.malformed("record", offset):
+                    record = _unpack_record(payload, header, offset)
+                yield record
 
     iterator = records()
     # a generator that never started never enters its ``with`` block

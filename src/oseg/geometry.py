@@ -347,7 +347,8 @@ class BinaryMask:
 
 
 def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
-    """IoU of two pixel masks in shared image coordinates."""
+    """IoU of two pixel masks in shared image coordinates; two empty masks
+    are an error."""
     ax, ay = a.origin
     bx, by = b.origin
     ah, aw = a.bits.shape
@@ -362,4 +363,6 @@ def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
         sub_b = b.bits[y1 - by:y2 - by, x1 - bx:x2 - bx]
         inter = int((sub_a & sub_b).sum())
     union = a.area + b.area - inter
-    return inter / union if union else 0.0
+    if union == 0:
+        raise ValueError("mask IoU is undefined when both masks are empty")
+    return inter / union

@@ -151,16 +151,23 @@ class SampleReservoir:
 
     def update(self, records, labeler) -> None:
         """Absorb one sequence: shrink old lists, ingest new images."""
+        records, new_ids, quota = self._start(records)
+        self._ingest(records, new_ids, labeler, quota)
+
+    def _start(self, records) -> tuple[list, list, int]:
+        """Check the new ids and shrink every stored list to the new quota."""
         records = list(records)
         if not records:
             raise ValueError("need at least one record")
         new_ids = self._require_new_ids(records)
-        t = self.updates + 1
-        total = self.num_images + len(records)
         quota = per_image_quota(
-            self.config.num_batches, self.config.batch_size, total
+            self.config.num_batches, self.config.batch_size,
+            self.num_images + len(records),
         )
-        self._downsample_old(quota, t)
+        self._downsample_old(quota, self.updates + 1)
+        return records, new_ids, quota
+
+    def _ingest(self, records, new_ids, labeler, quota: int) -> None:
         known_keys = set(self.negatives)
         for image_id, record in zip(new_ids, records):
             labeled = labeler(record)
@@ -184,8 +191,8 @@ class SampleReservoir:
             self.image_ids.append(image_id)
         if self.feature_dim is None:
             raise ValueError("labeler produced no features")
-        self.num_images = total
-        self.updates = t
+        self.num_images += len(records)
+        self.updates += 1
 
     def _negatives_for(self, key, image_id) -> np.ndarray:
         return self.negatives[key][image_id]
@@ -223,20 +230,11 @@ class DetectionReservoir(SampleReservoir):
     buffers: dict = field(default_factory=dict)
 
     def update(self, records, labeler, buffer_extractor=None):
-        records = list(records)
+        """Absorb one sequence; ``buffer_extractor(record)`` gives the rows
+        each new image's buffer is drawn from."""
         if buffer_extractor is None:
             raise ValueError("detection updates need a buffer_extractor")
-        new_ids = self._require_new_ids(records)
-        t = self.updates + 1
-        quota = per_image_quota(
-            self.config.num_batches,
-            self.config.batch_size,
-            self.num_images + len(records),
-        )
-        for image_id, rows in self.buffers.items():
-            self.buffers[image_id] = subsample_rows(
-                rows, quota, rng_for(self.seed, "down-buffer", t, image_id)
-            )
+        records, new_ids, quota = self._start(records)
         for image_id, record in zip(new_ids, records):
             rows, self.feature_dim = _as_features(
                 buffer_extractor(record), self.feature_dim
@@ -244,7 +242,14 @@ class DetectionReservoir(SampleReservoir):
             self.buffers[image_id] = subsample_rows(
                 rows, quota, rng_for(self.seed, "buffer", image_id)
             )
-        super().update(records, labeler)
+        self._ingest(records, new_ids, labeler, quota)
+
+    def _downsample_old(self, quota: int, t: int) -> None:
+        super()._downsample_old(quota, t)
+        for image_id, rows in self.buffers.items():
+            self.buffers[image_id] = subsample_rows(
+                rows, quota, rng_for(self.seed, "down-buffer", t, image_id)
+            )
 
     def _negatives_for(self, key, image_id) -> np.ndarray:
         stored = self.negatives[key][image_id]

@@ -7,10 +7,12 @@ and cuts it into fixed-size batches, and stage 3 visits the batches once
 each: after every refit, rows the current model fails to reject stay in
 the working set and rows it rejects confidently are pruned.
 
-The pool keeps its per-image structure until stage 2.  That independence
-is what makes the incremental reservoir updates statistically equivalent
-to collecting the pool in one shot (chained uniform subsampling of each
-image's rows is itself uniform).
+Stage 1 is the per-image reservoir of :mod:`oseg.incremental`, which
+hands a :class:`NegativePool` to stages 2-3.  The pool keeps its
+per-image structure until stage 2.  That independence is what makes the
+incremental reservoir updates statistically equivalent to collecting the
+pool in one shot (chained uniform subsampling of each image's rows is
+itself uniform).
 """
 
 from __future__ import annotations
@@ -87,62 +89,6 @@ class NegativePool:
     def untrainable_keys(self) -> list:
         return [k for k in self.positives if self.positives[k].shape[0] == 0]
 
-    def negative_count(self, key) -> int:
-        return sum(a.shape[0] for a in self.negatives[key])
-
-
-def collect_pool(records, labeler, config: BootstrapConfig, seed) -> NegativePool:
-    """Stage 1: gather positives and quota-sampled per-image negatives.
-
-    Args:
-        records: sequence of images; each may expose ``image_id`` (used to
-            key the sampling streams; falls back to the position).
-        labeler: callable(record) -> mapping key -> (positives, negatives)
-            feature arrays for that image; either side may be empty.
-        config: supplies the quota ``ceil(num_batches*batch_size/|I|)``.
-        seed: sampling is reseeded per (key, image), so the pool for any
-            image is independent of every other image.
-
-    Keys missing positives over the whole dataset remain in the pool and
-    are reported by :meth:`NegativePool.untrainable_keys`.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("need at least one record")
-    quota = per_image_quota(config.num_batches, config.batch_size, len(records))
-    pos: dict[object, list] = {}
-    neg: dict[object, list] = {}
-    width = 0
-
-    def norm(a):
-        nonlocal width
-        a = np.asarray(a, dtype=np.float64)
-        if a.size == 0:
-            return None
-        a = np.atleast_2d(a)
-        if width and a.shape[1] != width:
-            raise ValueError("feature width changed between images")
-        width = a.shape[1]
-        return a
-
-    for position, record in enumerate(records):
-        image_id = getattr(record, "image_id", position)
-        for key, (p, n) in labeler(record).items():
-            p, n = norm(p), norm(n)
-            pos.setdefault(key, []).append(p)
-            if n is not None:
-                n = subsample_rows(n, quota, rng_for(seed, "stage1", key, image_id))
-            neg.setdefault(key, []).append(n)
-    if width == 0:
-        raise ValueError("labeler produced no features")
-    empty = np.empty((0, width))
-    pool = NegativePool(feature_dim=width, num_images=len(records))
-    for key in pos:
-        parts = [a for a in pos[key] if a is not None]
-        pool.positives[key] = np.concatenate(parts, axis=0) if parts else empty
-        pool.negatives[key] = [empty if a is None else a for a in neg[key]]
-    return pool
-
 
 def make_batches(pool: NegativePool, key, config: BootstrapConfig, seed) -> list[np.ndarray]:
     """Stage 2: shuffle a key's pooled negatives and cut them into batches.
@@ -187,22 +133,6 @@ class IterationStats:
 class MiningStats:
     num_positives: int
     iterations: list[IterationStats] = field(default_factory=list)
-
-    @property
-    def total_hard_added(self) -> int:
-        return sum(it.hard_added for it in self.iterations)
-
-    @property
-    def total_easy_pruned(self) -> int:
-        return sum(it.easy_pruned for it in self.iterations)
-
-    @property
-    def final_active_negatives(self) -> int:
-        return self.iterations[-1].active_negatives if self.iterations else 0
-
-    @property
-    def train_seconds(self) -> float:
-        return sum(it.train_seconds for it in self.iterations)
 
 
 def mine_hard_negatives(
@@ -276,22 +206,6 @@ class MiningResult:
     classifiers: dict
     stats: dict
     failures: dict
-
-    def stats_rows(self) -> list[dict]:
-        """Flatten per-iteration stats for CSV emission."""
-        rows = []
-        for key in sorted(self.stats, key=str):
-            for it in self.stats[key].iterations:
-                rows.append(
-                    {
-                        "key": key,
-                        "iteration": it.batch_index,
-                        "pool_size": it.batch_rows,
-                        "chosen_negatives": it.active_negatives,
-                        "train_seconds": round(it.train_seconds, 6),
-                    }
-                )
-        return rows
 
 
 def run_minibootstrap(pool: NegativePool, config: BootstrapConfig, seed) -> MiningResult:

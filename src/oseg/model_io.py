@@ -201,7 +201,7 @@ def load_pipeline(path) -> PipelineModel:
     def offset_of(index: int) -> int:
         return offsets[index] if 0 <= index < len(offsets) else 0
 
-    try:
+    with binio.malformed("model header", len(MAGIC) + 12):
         grid = _grid_from(header["grid"])
         rpn_tree = header["rpn"]
         rpn = OnlineRpnModel(
@@ -231,7 +231,3 @@ def load_pipeline(path) -> PipelineModel:
             class_names=tuple(header["class_names"]), rpn=rpn,
             detection=detection, segmentation=segmentation,
             manifest=header.get("manifest", {}))
-    except binio.FormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise binio.FormatError(f"malformed model header: {exc}", 0) from exc

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import platform
-import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -28,15 +27,15 @@ import scipy
 
 import oseg
 from oseg.detection import (DetectionTrainConfig, detect,
-                            detection_incremental_update,
                             train_detection_from_reservoir)
 from oseg.evaluation import InstancePrediction, evaluate, proposal_recall
 from oseg.feature_store import DatasetHeader, Proposal
-from oseg.incremental import DetectionReservoir, RpnReservoir
+from oseg.incremental import (DetectionReservoir, RpnReservoir,
+                              detection_incremental_update,
+                              rpn_incremental_update)
 from oseg.minibootstrap import BootstrapConfig
 from oseg.model_io import PipelineModel
-from oseg.rpn import (RpnTrainConfig, propose, rpn_incremental_update,
-                      train_rpn_from_reservoir)
+from oseg.rpn import RpnTrainConfig, propose, train_rpn_from_reservoir
 from oseg.seeding import rng_for
 from oseg.segmentation import (SegmentationConfig, extend_segmentation,
                                predict_mask, train_online_segmentation)

@@ -27,8 +27,8 @@ from .geometry import (
     label_anchors,
     nms,
 )
-from .incremental import RpnReservoir, rpn_incremental_update
-from .kernels import KernelClassifier, RlsRegressor, train_rls
+from .incremental import RpnReservoir
+from .kernels import train_rls
 from .minibootstrap import BootstrapConfig, run_minibootstrap
 
 
@@ -122,51 +122,6 @@ def rpn_labeler(
     return labeler
 
 
-@dataclass
-class RpnTrainingSet:
-    positives: np.ndarray
-    negatives: np.ndarray
-    reg_features: np.ndarray
-    reg_targets: np.ndarray
-
-
-def build_rpn_training_sets(
-    records,
-    grid: AnchorGrid,
-    pos_iou: float = 0.7,
-    neg_iou: float = 0.3,
-    reg_iou: float = 0.7,
-) -> dict:
-    """Full (unsampled) per-shape training sets, for inspection and tests."""
-    labeler = rpn_labeler(grid, pos_iou, neg_iou, reg_iou)
-    pos: dict[int, list] = {a: [] for a in range(grid.num_shapes)}
-    neg: dict[int, list] = {a: [] for a in range(grid.num_shapes)}
-    rx: dict[int, list] = {a: [] for a in range(grid.num_shapes)}
-    ry: dict[int, list] = {a: [] for a in range(grid.num_shapes)}
-    for record in records:
-        for a, (p, n, x, y) in labeler(record).items():
-            pos[a].append(np.atleast_2d(np.asarray(p, dtype=np.float64)))
-            neg[a].append(np.atleast_2d(np.asarray(n, dtype=np.float64)))
-            x = np.asarray(x, dtype=np.float64)
-            if x.size:
-                rx[a].append(np.atleast_2d(x))
-                ry[a].append(np.atleast_2d(np.asarray(y, dtype=np.float64)))
-
-    def stack(parts, width):
-        parts = [p for p in parts if p.size]
-        return np.concatenate(parts) if parts else np.empty((0, width))
-
-    out = {}
-    for a in range(grid.num_shapes):
-        out[a] = RpnTrainingSet(
-            positives=stack(pos[a], 0),
-            negatives=stack(neg[a], 0),
-            reg_features=stack(rx[a], 0),
-            reg_targets=stack(ry[a], 4),
-        )
-    return out
-
-
 def train_rpn_from_reservoir(
     reservoir: RpnReservoir,
     grid: AnchorGrid,
@@ -195,15 +150,6 @@ def train_rpn_from_reservoir(
         config=config.proposals,
         failures=result.failures,
     )
-
-
-def train_online_rpn(records, grid: AnchorGrid, config: RpnTrainConfig, seed) -> OnlineRpnModel:
-    """One-shot training path (single-sequence reservoir)."""
-    reservoir = RpnReservoir(config=config.bootstrap, seed=seed)
-    rpn_incremental_update(
-        reservoir, records, grid, config.pos_iou, config.neg_iou, config.reg_iou
-    )
-    return train_rpn_from_reservoir(reservoir, grid, config, seed)
 
 
 def propose(model: OnlineRpnModel, record) -> list:

@@ -14,7 +14,7 @@ resizes the score grid to the box's pixel window and binarizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import map_coordinates

@@ -6,11 +6,9 @@ import pytest
 from oseg.detection import (
     DetectionConfig,
     DetectionTrainConfig,
-    build_detection_training_sets,
     detect,
     detection_labeler,
     train_detection_from_reservoir,
-    train_online_detection,
 )
 from oseg.geometry import Box, iou
 from oseg.incremental import (
@@ -54,6 +52,23 @@ def train_config(sigma=0.5, lam=1e-4, threshold=0.0):
         ),
         inference=DetectionConfig(score_threshold=threshold),
     )
+
+
+def fill_reservoir(records, class_ids, config=None, seed=0):
+    """Ingest one sequence in which every class is new."""
+    config = config or DetectionTrainConfig()
+    reservoir = DetectionReservoir(config=config.bootstrap, seed=seed)
+    detection_incremental_update(
+        reservoir, records, class_ids, new_class_ids=class_ids,
+        pos_iou=config.pos_iou, neg_iou=config.neg_iou,
+    )
+    return reservoir
+
+
+def train_detector(records, class_ids, config, seed):
+    """The training core's detector path on one sequence."""
+    reservoir = fill_reservoir(records, class_ids, config, seed)
+    return train_detection_from_reservoir(reservoir, config, seed)
 
 
 class TestLabeling:
@@ -117,15 +132,18 @@ class TestTrainingSets:
         gt = (40.0, 40.0, 104.0, 104.0)
         with_cls = FakeRecord(0, [(0, gt)], [gt, (200.0, 200.0, 230.0, 230.0)])
         without = FakeRecord(1, [], [(10.0, 10.0, 50.0, 50.0), (60.0, 60.0, 90.0, 90.0)])
-        sets = build_detection_training_sets([with_cls, without], [0])
-        assert sets[0].positives.shape[0] == 1
-        assert tags_of(sets[0].negatives) == {0, 1}  # both of the empty image's
-        assert sets[0].reg_features.shape[0] == 1
+        reservoir = fill_reservoir([with_cls, without], [0])
+        pool = reservoir.to_pool()
+        assert pool.positives[0].shape[0] == 1
+        # the empty image's buffer stands in: both of its proposals
+        assert tags_of(pool.negatives[0][1]) == {0, 1}
+        assert tags_of(np.concatenate(pool.negatives[0])) == {0, 1}
+        assert reservoir.reg_features[0].shape[0] == 1
 
     def test_starved_class_raises_with_keys(self):
         record = FakeRecord(0, [(0, (40.0, 40.0, 104.0, 104.0))], [(0.0, 0.0, 10.0, 10.0)])
         with pytest.raises(UntrainableClassError) as info:
-            build_detection_training_sets([record], [0, 1])
+            fill_reservoir([record], [0, 1])
         assert set(info.value.keys) == {0, 1}
 
 
@@ -137,7 +155,7 @@ def world_and_records(seed, class_names=("a", "b", "c"), n=25, **kw):
 class TestTraining:
     def test_classifiers_separate_their_class(self):
         world, records = world_and_records(1, max_objects=2)
-        model = train_online_detection(records, [0, 1, 2], train_config(), seed=0)
+        model = train_detector(records, [0, 1, 2], train_config(), seed=0)
         assert model.class_ids == (0, 1, 2)
         for record in list(world.generate(6, start_id=100)):
             for gt in record.gt_objects:
@@ -152,41 +170,24 @@ class TestTraining:
                     else:
                         assert own < 0
 
-    def test_batch_equals_single_sequence_reservoir(self):
-        _, records = world_and_records(2, n=12, max_objects=1)
-        config = train_config()
-        direct = train_online_detection(records, [0, 1, 2], config, seed=3)
-        reservoir = DetectionReservoir(config=config.bootstrap, seed=3)
-        detection_incremental_update(
-            reservoir, records, [0, 1, 2], new_class_ids=[0, 1, 2]
-        )
-        staged = train_detection_from_reservoir(reservoir, config, seed=3)
-        for n in direct.classifiers:
-            np.testing.assert_array_equal(
-                direct.classifiers[n].weights, staged.classifiers[n].weights
-            )
-            np.testing.assert_array_equal(
-                direct.regressors[n].weights, staged.regressors[n].weights
-            )
-
     def test_same_seed_reproducible(self):
         _, records = world_and_records(3, n=10, max_objects=1)
-        a = train_online_detection(records, [0, 1, 2], train_config(), seed=7)
-        b = train_online_detection(records, [0, 1, 2], train_config(), seed=7)
+        a = train_detector(records, [0, 1, 2], train_config(), seed=7)
+        b = train_detector(records, [0, 1, 2], train_config(), seed=7)
         for n in a.classifiers:
             np.testing.assert_array_equal(a.classifiers[n].weights, b.classifiers[n].weights)
 
     def test_missing_class_fails_loudly(self):
         _, records = world_and_records(4, n=8, max_objects=1, active_classes=[0, 1])
         with pytest.raises(UntrainableClassError) as info:
-            train_online_detection(records, [0, 1, 2], train_config(), seed=0)
+            train_detector(records, [0, 1, 2], train_config(), seed=0)
         assert 2 in info.value.keys
 
 
 class TestDetect:
     def setup_method(self):
         self.world, records = world_and_records(5, n=30, max_objects=2)
-        self.model = train_online_detection(records, [0, 1, 2], train_config(), seed=0)
+        self.model = train_detector(records, [0, 1, 2], train_config(), seed=0)
         self.test_records = list(self.world.generate(8, start_id=200))
 
     def test_every_object_found_with_right_class(self):
@@ -222,7 +223,7 @@ class TestDetect:
         assert detect(self.model, record, proposals=[]) == []
 
     def test_high_threshold_silences(self):
-        model = train_online_detection(
+        model = train_detector(
             list(self.world.generate(10, start_id=300)),
             [0, 1, 2],
             train_config(threshold=1e9),

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from oseg.evaluation import (InstancePrediction, average_precision, evaluate,
-                             mask_iou, proposal_recall)
-from oseg.geometry import BinaryMask, Box, iou, pixel_bounds
+                             proposal_recall)
+from oseg.geometry import BinaryMask, Box, iou, mask_iou, pixel_bounds
 
 IMAGE_SIZE = (320, 320)
 

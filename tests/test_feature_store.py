@@ -151,6 +151,44 @@ def test_corrupt_record_payload(tmp_path):
         next(stream)
 
 
+def tiny_dataset(path) -> bytes:
+    world = SyntheticWorld(
+        class_names=("a", "b"), seed=3, image_size=(128, 128), stride=32,
+        anchor_shapes=((32.0, 32.0),), rpn_dim=4, det_dim=4, seg_dim=4,
+        mask_grid=4, max_objects=2, proposals_per_gt=2, background_proposals=2,
+    )
+    generate_dataset(path, world, 2)
+    return path.read_bytes()
+
+
+def test_flipped_preamble_or_meta_byte_is_a_format_error(tmp_path):
+    path = tmp_path / "d.oseg"
+    raw = tiny_dataset(path)
+    first_block = len(DATASET_MAGIC) + 12 + int.from_bytes(raw[8:16], "little")
+    meta_start = first_block + 16  # block length, then meta length
+    meta_end = meta_start + int.from_bytes(raw[first_block + 8:meta_start], "little")
+    rejected = 0
+    for i in range(meta_end):
+        for bit in (0x01, 0x20):
+            data = bytearray(raw)
+            data[i] ^= bit
+            path.write_bytes(bytes(data))
+            try:  # any other exception fails the test
+                load_dataset(path)
+            except FormatError:
+                rejected += 1
+    assert rejected > meta_end  # most flips break the file
+
+
+def test_huge_header_length_is_a_format_error(tmp_path):
+    path = tmp_path / "d.oseg"
+    data = bytearray(tiny_dataset(path))
+    data[len(DATASET_MAGIC) + 11] ^= 0x01  # top byte of the u64 length
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="truncated header"):
+        read_dataset(path)
+
+
 def test_validation_rejects_bad_map_shape(tmp_path):
     world = small_world()
     record = world.render_record(0)

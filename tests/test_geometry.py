@@ -325,3 +325,51 @@ class TestMasks:
             union = (ca | cb).sum()
             expect = inter / union if union else 0.0
             assert mask_iou(a, b) == pytest.approx(expect)
+
+
+@st.composite
+def image_boxes(draw, min_side=1e-3, margin=0.0):
+    """An integer image size and boxes of positive extent; with a margin,
+    boxes may reach that far past every image edge."""
+    w, h = draw(st.integers(1, 640)), draw(st.integers(1, 640))
+
+    def side(limit):
+        lo = draw(st.floats(-margin, limit + margin - min_side))
+        hi = draw(st.floats(min(lo + min_side, limit + margin), limit + margin))
+        return lo, hi
+
+    boxes = []
+    for _ in range(draw(st.integers(1, 8))):
+        (x1, x2), (y1, y2) = side(w), side(h)
+        boxes.append((x1, y1, x2, y2))
+    return (w, h), np.array(boxes)
+
+
+class TestGeometryProperties:
+    @settings(deadline=None)
+    @given(image_boxes())
+    def test_targets_round_trip_inside_image(self, drawn):
+        size, src = drawn
+        dst = np.roll(src, 1, axis=0)
+        decoded, valid = apply_targets(src, encode_targets(src, dst), size)
+        assert valid.all()
+        np.testing.assert_allclose(decoded, dst, rtol=0.0, atol=1e-9)
+
+    @settings(deadline=None)
+    @given(image_boxes(margin=100.0), image_boxes(margin=100.0))
+    def test_iou_matrix_symmetric_bounded_unit_diagonal(self, first, second):
+        a, b = first[1], second[1]
+        ab = iou_matrix(a, b)
+        assert np.array_equal(ab, iou_matrix(b, a).T)
+        assert ((ab >= 0.0) & (ab <= 1.0)).all()
+        assert np.array_equal(np.diag(iou_matrix(a, a)), np.ones(len(a)))
+
+    @settings(deadline=None)
+    @given(image_boxes(min_side=0.0, margin=200.0))
+    def test_pixel_bounds_at_least_one_pixel_inside(self, drawn):
+        (w, h), boxes = drawn
+        for box in boxes:
+            x1, y1, x2, y2 = pixel_bounds(box, (w, h))
+            assert all(isinstance(v, int) for v in (x1, y1, x2, y2))
+            assert 0 <= x1 < x2 <= w
+            assert 0 <= y1 < y2 <= h

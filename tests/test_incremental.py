@@ -11,7 +11,13 @@ from oseg.incremental import (
     detection_incremental_update,
     sampling_equivalence_test,
 )
-from oseg.minibootstrap import BootstrapConfig, collect_pool, per_image_quota
+from oseg.minibootstrap import (
+    BootstrapConfig,
+    NegativePool,
+    per_image_quota,
+    subsample_rows,
+)
+from oseg.seeding import rng_for
 
 
 def tagged_rows(image_index, count, width=4):
@@ -32,8 +38,23 @@ def dict_labeler(record):
     return record.labeled
 
 
-def classification_labeler(record):
-    return {key: sides[:2] for key, sides in record.labeled.items()}
+def one_shot_pool(records, labeler, config, seed) -> NegativePool:
+    """Reference stage 1: every image's negatives quota-sampled at once.
+
+    Sampling is reseeded per (key, image) exactly as the reservoir does,
+    so one update of an empty reservoir must reproduce this pool.
+    """
+    quota = per_image_quota(config.num_batches, config.batch_size, len(records))
+    pool = NegativePool(num_images=len(records))
+    for record in records:
+        for key, (pos, neg, _, _) in labeler(record).items():
+            pool.positives.setdefault(key, []).append(pos)
+            sampled = subsample_rows(
+                neg, quota, rng_for(seed, "stage1", key, record.image_id)
+            )
+            pool.negatives.setdefault(key, []).append(sampled)
+    pool.positives = {k: np.concatenate(v) for k, v in pool.positives.items()}
+    return pool
 
 
 def make_records(start, count, keys=(0,), negatives_per_image=30, positives_on=0):
@@ -101,7 +122,7 @@ class TestReservoirBookkeeping:
         res = SampleReservoir(config=config, seed=11)
         res.update(records, dict_labeler)
         pool = res.to_pool()
-        batch = collect_pool(records, classification_labeler, config, seed=11)
+        batch = one_shot_pool(records, dict_labeler, config, seed=11)
         assert pool.num_images == batch.num_images
         assert set(pool.keys()) == set(batch.keys())
         for key in batch.keys():
@@ -132,6 +153,9 @@ class TestReservoirBookkeeping:
         res = SampleReservoir(config=small_config(), seed=0)
         with pytest.raises(ValueError, match="at least one record"):
             res.update([], dict_labeler)
+        res = DetectionReservoir(config=small_config(), seed=0)
+        with pytest.raises(ValueError, match="at least one record"):
+            res.update([], dict_labeler, buffer_extractor=lambda r: r.proposals_rows)
 
     def test_feature_width_change_rejected(self):
         res = SampleReservoir(config=small_config(), seed=0)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from oseg.incremental import SampleReservoir
 from oseg.minibootstrap import (
     BootstrapConfig,
-    collect_pool,
     make_batches,
     mine_hard_negatives,
     per_image_quota,
@@ -27,6 +27,19 @@ class FakeRecord:
     def __init__(self, image_id, labeled):
         self.image_id = image_id
         self.labeled = labeled
+
+
+def reservoir_pool(records, config, seed):
+    """Stage 1 of a single sequence: the reservoir's pool."""
+    reservoir = SampleReservoir(config=config, seed=seed)
+    reservoir.update(
+        records, lambda r: {k: (p, n, (), ()) for k, (p, n) in r.labeled.items()}
+    )
+    return reservoir.to_pool()
+
+
+def negative_count(pool, key) -> int:
+    return sum(a.shape[0] for a in pool.negatives[key])
 
 
 def single_key_records(per_image, positives):
@@ -71,49 +84,49 @@ class TestCollectPool:
         records = single_key_records(
             [tagged_rows(i, 30) for i in range(6)], tagged_rows(99, 5)
         )
-        pool = collect_pool(records, lambda r: r.labeled, self.config(4, 12), seed=1)
+        pool = reservoir_pool(records, self.config(4, 12), seed=1)
         # quota = ceil(48 / 6) = 8 per image
         assert pool.num_images == 6
         assert all(a.shape[0] <= 8 for a in pool.negatives[0])
-        assert pool.negative_count(0) == 48
+        assert negative_count(pool, 0) == 48
         assert pool.positives[0].shape == (5, 4)
 
     def test_all_kept_when_under_quota(self):
         records = single_key_records([tagged_rows(0, 3)], tagged_rows(9, 2))
-        pool = collect_pool(records, lambda r: r.labeled, self.config(2, 10), seed=1)
-        assert pool.negative_count(0) == 3
+        pool = reservoir_pool(records, self.config(2, 10), seed=1)
+        assert negative_count(pool, 0) == 3
 
     def test_exact_pool_count(self):
         # 10 images, quota 2, plenty available: exactly 20 pooled
         records = single_key_records(
             [tagged_rows(i, 9) for i in range(10)], tagged_rows(99, 1)
         )
-        pool = collect_pool(records, lambda r: r.labeled, self.config(2, 10), seed=2)
-        assert pool.negative_count(0) == 20
+        pool = reservoir_pool(records, self.config(2, 10), seed=2)
+        assert negative_count(pool, 0) == 20
 
     def test_image_without_positives_still_contributes_negatives(self):
         records = single_key_records(
             [tagged_rows(0, 10), tagged_rows(1, 10)], tagged_rows(9, 3)
         )
-        pool = collect_pool(records, lambda r: r.labeled, self.config(2, 10), seed=3)
+        pool = reservoir_pool(records, self.config(2, 10), seed=3)
         contributed = {int(a[0, 0]) for a in pool.negatives[0] if a.shape[0]}
         assert contributed == {0, 1}
 
     def test_untrainable_key_reported(self):
         records = [FakeRecord(0, {0: (tagged_rows(9, 2), tagged_rows(0, 5)),
                                   1: (np.empty((0, 4)), tagged_rows(0, 5))})]
-        pool = collect_pool(records, lambda r: r.labeled, self.config(2, 10), seed=4)
+        pool = reservoir_pool(records, self.config(2, 10), seed=4)
         assert pool.untrainable_keys() == [1]
 
     def test_deterministic_per_image_and_key(self):
         records = single_key_records(
             [tagged_rows(i, 25) for i in range(4)], tagged_rows(99, 2)
         )
-        a = collect_pool(records, lambda r: r.labeled, self.config(3, 8), seed=77)
-        b = collect_pool(records, lambda r: r.labeled, self.config(3, 8), seed=77)
+        a = reservoir_pool(records, self.config(3, 8), seed=77)
+        b = reservoir_pool(records, self.config(3, 8), seed=77)
         for x, y in zip(a.negatives[0], b.negatives[0]):
             np.testing.assert_array_equal(x, y)
-        c = collect_pool(records, lambda r: r.labeled, self.config(3, 8), seed=78)
+        c = reservoir_pool(records, self.config(3, 8), seed=78)
         assert any(
             x.tobytes() != y.tobytes() for x, y in zip(a.negatives[0], c.negatives[0])
         )
@@ -124,7 +137,7 @@ class TestMakeBatches:
         records = single_key_records(per_image, tagged_rows(99, 2))
         cfg = BootstrapConfig(num_batches=num_batches, batch_size=batch_size,
                               num_centers=10, sigma=1.0, lam=1e-5)
-        return collect_pool(records, lambda r: r.labeled, cfg, seed=5), cfg
+        return reservoir_pool(records, cfg, seed=5), cfg
 
     def test_full_batches(self):
         pool, cfg = self.pool_of([tagged_rows(i, 10) for i in range(4)], 2, 10)
@@ -167,7 +180,7 @@ def blob_setup(n_pos=40, n_images=8, per_image=60, easy_frac=0.8, seed=100):
 
 def blob_pool(pos, images, cfg, seed):
     records = single_key_records(images, pos)
-    return collect_pool(records, lambda r: r.labeled, cfg, seed=seed)
+    return reservoir_pool(records, cfg, seed=seed)
 
 
 class TestMineHardNegatives:
@@ -204,7 +217,7 @@ class TestMineHardNegatives:
         assert model.score(np.full(5, -3.0)) < 0
         # separable data: almost all easy negatives get pruned away
         total = sum(b.shape[0] for b in batches)
-        assert stats.final_active_negatives < 0.1 * total
+        assert stats.iterations[-1].active_negatives < 0.1 * total
 
     def test_identical_batches_add_only_margin_violators(self):
         # six hand-placed negatives: three easy at -3, three hard at +0.5
@@ -230,8 +243,8 @@ class TestMineHardNegatives:
         batches = make_batches(pool, 0, cfg, seed=3)
         total = sum(b.shape[0] for b in batches)
         model, stats = mine_hard_negatives(pos, batches, cfg, seed=3)
-        assert stats.final_active_negatives == total
-        assert stats.total_easy_pruned == 0
+        assert stats.iterations[-1].active_negatives == total
+        assert sum(it.easy_pruned for it in stats.iterations) == 0
         assert stats.iterations[-1].training_size == 40 + total
 
     def test_reject_all_keeps_first_batch_only(self):
@@ -242,7 +255,7 @@ class TestMineHardNegatives:
         batches = make_batches(pool, 0, cfg, seed=4)
         model, stats = mine_hard_negatives(pos, batches, cfg, seed=4)
         assert [it.hard_added for it in stats.iterations[1:]] == [0, 0]
-        assert stats.final_active_negatives == batches[0].shape[0]
+        assert stats.iterations[-1].active_negatives == batches[0].shape[0]
 
     def test_deterministic(self):
         pos, images = blob_setup()
@@ -276,21 +289,19 @@ class TestRunMinibootstrap:
                 "no_pos": (np.empty((0, 5)), neg),
             }
             records.append(FakeRecord(i, labeled))
-        pool = collect_pool(records, lambda r: r.labeled, cfg, seed=6)
+        pool = reservoir_pool(records, cfg, seed=6)
         result = run_minibootstrap(pool, cfg, seed=6)
         assert set(result.classifiers) == {"good"}
         assert result.failures == {"no_pos": "no positive samples"}
-        rows = result.stats_rows()
-        assert {r["key"] for r in rows} == {"good"}
-        assert {"key", "iteration", "pool_size", "chosen_negatives",
-                "train_seconds"} <= set(rows[0])
+        assert set(result.stats) == {"good"}
+        assert len(result.stats["good"].iterations) == 2
 
     def test_deterministic_across_runs(self):
         pos, images = blob_setup(n_images=4, per_image=40)
         cfg = BootstrapConfig(num_batches=2, batch_size=40, num_centers=100,
                               sigma=2.0, lam=1e-5)
         records = single_key_records(images, pos)
-        pool = collect_pool(records, lambda r: r.labeled, cfg, seed=8)
+        pool = reservoir_pool(records, cfg, seed=8)
         a = run_minibootstrap(pool, cfg, seed=8)
         b = run_minibootstrap(pool, cfg, seed=8)
         assert a.classifiers[0].weights.tobytes() == b.classifiers[0].weights.tobytes()

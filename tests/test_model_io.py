@@ -147,6 +147,32 @@ class TestCorruption:
         with pytest.raises(FormatError, match="magic"):
             load_pipeline(path)
 
+    def test_huge_header_length(self, trained, tmp_path):
+        path = tmp_path / "model.oseg"
+        save_pipeline(path, trained)
+        data = bytearray(path.read_bytes())
+        data[len(MAGIC) + 11] ^= 0x01  # top byte of the u64 length
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="truncated header"):
+            load_pipeline(path)
+
+    def test_flipped_header_byte(self, trained, tmp_path):
+        path = tmp_path / "model.oseg"
+        save_pipeline(path, trained)
+        raw = path.read_bytes()
+        header_end = len(MAGIC) + 12 + int.from_bytes(raw[8:16], "little")
+        rejected = 0
+        for i in range(header_end):
+            for bit in (0x01, 0x20):
+                data = bytearray(raw)
+                data[i] ^= bit
+                path.write_bytes(bytes(data))
+                try:  # any other exception fails the test
+                    load_pipeline(path)
+                except FormatError:
+                    rejected += 1
+        assert rejected > header_end  # most flips break the file
+
     def test_missing_header_keys(self, trained, tmp_path):
         from oseg import binio
         path = tmp_path / "model.oseg"

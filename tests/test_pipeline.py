@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from oseg import pipeline
-from oseg.evaluation import evaluate, mask_iou
+from oseg.evaluation import evaluate
+from oseg.geometry import mask_iou
 from oseg.incremental import UntrainableClassError
 from oseg.model_io import classifier_bytes, model_bytes
 from oseg.pipeline import (ACQUISITION, BACKLOG, DETECTION_TRAINING,

@@ -9,13 +9,10 @@ from oseg.geometry import AnchorGrid, Box, iou
 from oseg.incremental import RpnReservoir, rpn_incremental_update
 from oseg.minibootstrap import BootstrapConfig
 from oseg.rpn import (
-    OnlineRpnModel,
     ProposalConfig,
     RpnTrainConfig,
-    build_rpn_training_sets,
     propose,
     rpn_labeler,
-    train_online_rpn,
     train_rpn_from_reservoir,
 )
 from oseg.synthetic import SyntheticWorld
@@ -59,6 +56,19 @@ def small_train_config(sigma=0.5, lam=1e-4, reg_lam=1e-6, post_nms=50):
         reg_lam=reg_lam,
         proposals=ProposalConfig(pre_nms_top_k=300, nms_iou=0.7, post_nms_top_k=post_nms),
     )
+
+
+def train_rpn(records, grid, config, seed):
+    """The training core's proposal-module path on one sequence."""
+    reservoir = RpnReservoir(config=config.bootstrap, seed=seed)
+    rpn_incremental_update(reservoir, records, grid)
+    return train_rpn_from_reservoir(reservoir, grid, config, seed)
+
+
+def filled_reservoir(records, grid):
+    reservoir = RpnReservoir(config=BootstrapConfig(), seed=0)
+    rpn_incremental_update(reservoir, records, grid)
+    return reservoir
 
 
 class TestLabeling:
@@ -119,8 +129,8 @@ class TestLabeling:
         world = SyntheticWorld(class_names=["a", "b"], noise=0.0, seed=4, max_objects=2)
         grid = world.grid
         records = list(world.generate(6))
-        sets = build_rpn_training_sets(records, grid)
-        total = sum(sets[a].reg_features.shape[0] for a in sets)
+        reservoir = filled_reservoir(records, grid)
+        total = sum(x.shape[0] for x in reservoir.reg_features.values())
         assert total > 0
         # anchors selected for regression (IoU >= 0.7) decode back onto
         # their ground truth exactly
@@ -155,51 +165,38 @@ class TestTrainedSetsStack:
     def test_counts_add_up_across_records(self):
         world = SyntheticWorld(class_names=["a", "b"], noise=0.0, seed=1, max_objects=2)
         records = list(world.generate(5))
-        sets = build_rpn_training_sets(records, world.grid)
+        reservoir = filled_reservoir(records, world.grid)
         labeler = rpn_labeler(world.grid)
         for a in range(world.grid.num_shapes):
             pos = sum(np.atleast_2d(np.asarray(labeler(r)[a][0])).shape[0]
                       for r in records if np.asarray(labeler(r)[a][0]).size)
-            assert sets[a].positives.shape[0] == pos
-            assert sets[a].reg_features.shape[0] == sets[a].reg_targets.shape[0]
+            assert reservoir.positives[a].shape[0] == pos
+            assert (reservoir.reg_features[a].shape[0]
+                    == reservoir.reg_targets[a].shape[0])
 
 
 class TestTraining:
     def test_classifier_separates_object_locations(self):
         world = SyntheticWorld(class_names=["a", "b", "c"], noise=0.0, seed=2, max_objects=1)
         records = list(world.generate(30))
-        model = train_online_rpn(records, world.grid, small_train_config(), seed=0)
+        model = train_rpn(records, world.grid, small_train_config(), seed=0)
         assert not model.failures
-        sets = build_rpn_training_sets(records, world.grid)
+        labeled = [rpn_labeler(world.grid)(r) for r in records]
         for a, clf in model.classifiers.items():
-            if sets[a].positives.shape[0] == 0:
+            # every labeled row, not the reservoir's quota sample
+            positives = np.concatenate([sides[a][0] for sides in labeled])
+            negatives = np.concatenate([sides[a][1] for sides in labeled])
+            if positives.shape[0] == 0:
                 continue
-            assert clf.decision_values(sets[a].positives).min() > 0
-            neg_scores = clf.decision_values(sets[a].negatives)
+            assert clf.decision_values(positives).min() > 0
+            neg_scores = clf.decision_values(negatives)
             assert np.mean(neg_scores < 0) > 0.99
-
-    def test_batch_equals_single_sequence_reservoir(self):
-        world = SyntheticWorld(class_names=["a", "b"], noise=0.0, seed=3, max_objects=1)
-        records = list(world.generate(12))
-        config = small_train_config()
-        direct = train_online_rpn(records, world.grid, config, seed=9)
-        reservoir = RpnReservoir(config=config.bootstrap, seed=9)
-        rpn_incremental_update(reservoir, records, world.grid)
-        staged = train_rpn_from_reservoir(reservoir, world.grid, config, seed=9)
-        assert set(direct.classifiers) == set(staged.classifiers)
-        for a in direct.classifiers:
-            np.testing.assert_array_equal(
-                direct.classifiers[a].weights, staged.classifiers[a].weights
-            )
-            np.testing.assert_array_equal(
-                direct.classifiers[a].centers, staged.classifiers[a].centers
-            )
 
     def test_same_seed_reproducible(self):
         world = SyntheticWorld(class_names=["a"], noise=0.1, seed=5, max_objects=1)
         records = list(world.generate(10))
-        a = train_online_rpn(records, world.grid, small_train_config(), seed=1)
-        b = train_online_rpn(records, world.grid, small_train_config(), seed=1)
+        a = train_rpn(records, world.grid, small_train_config(), seed=1)
+        b = train_rpn(records, world.grid, small_train_config(), seed=1)
         for key in a.classifiers:
             np.testing.assert_array_equal(a.classifiers[key].weights, b.classifiers[key].weights)
         for key in a.regressors:
@@ -216,7 +213,7 @@ class TestTraining:
         grid = AnchorGrid()  # trained on the full three-shape lattice
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            model = train_online_rpn(records, grid, small_train_config(), seed=0)
+            model = train_rpn(records, grid, small_train_config(), seed=0)
         assert set(model.classifiers) == {0}
         assert set(model.failures) == {1, 2}
         assert any("untrainable" in str(w.message) for w in caught)
@@ -236,7 +233,7 @@ class TestPropose:
             anchor_shapes=((64.0, 64.0),), max_objects=1,
         )
         train = list(world.generate(30))
-        model = train_online_rpn(train, world.grid, small_train_config(post_nms=post_nms), seed=0)
+        model = train_rpn(train, world.grid, small_train_config(post_nms=post_nms), seed=0)
         return world, model
 
     def test_top_proposal_overlaps_single_object(self):
@@ -252,7 +249,7 @@ class TestPropose:
         # shape matched, so cross-shape near-ties are expected; a > 0.9 box
         # must still sit within the top three
         world = SyntheticWorld(class_names=["a", "b"], noise=0.0, seed=8, max_objects=1)
-        model = train_online_rpn(list(world.generate(40)), world.grid, small_train_config(), seed=0)
+        model = train_rpn(list(world.generate(40)), world.grid, small_train_config(), seed=0)
         assert not model.failures
         for record in list(world.generate(8, start_id=200)):
             ranked = propose(model, record)
@@ -261,7 +258,7 @@ class TestPropose:
 
     def test_ranked_sorted_suppressed_capped(self):
         world = SyntheticWorld(class_names=["a", "b"], noise=0.0, seed=9, max_objects=3)
-        model = train_online_rpn(list(world.generate(30)), world.grid, small_train_config(post_nms=20), seed=0)
+        model = train_rpn(list(world.generate(30)), world.grid, small_train_config(post_nms=20), seed=0)
         for record in list(world.generate(5, start_id=300)):
             ranked = propose(model, record)
             assert 0 < len(ranked) <= 20
