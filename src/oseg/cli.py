@@ -55,12 +55,9 @@ def _load_config(args) -> ProtocolConfig:
     overrides = {}
     if getattr(args, "protocol", None):
         overrides["protocol"] = args.protocol.replace("-", "_")
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "num_batches", None) is not None:
-        overrides["num_batches"] = args.num_batches
-    if getattr(args, "batch_size", None) is not None:
-        overrides["batch_size"] = args.batch_size
+    for name in ("seed", "num_batches", "batch_size"):
+        if getattr(args, name, None) is not None:
+            overrides[name] = getattr(args, name)
     return config.replace(**overrides) if overrides else config
 
 
@@ -88,10 +85,7 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     header, records = load_dataset(args.dataset)
     digest = dataset_sha256(args.dataset)
-    featurizer = None
-    if config.protocol == "ours_serial":
-        featurizer = pipeline.featurizer_for(header)
-    result = pipeline.train(header, records, config, featurizer, digest)
+    result = pipeline.train(header, records, config, dataset_hash=digest)
     save_pipeline(args.out, result.model)
     _write_manifest(args.out, result.model.manifest)
     if args.timing:
@@ -201,13 +195,9 @@ def cmd_eval(args) -> int:
 def cmd_simulate_stream(args) -> int:
     config = _load_config(args)
     header, records = load_dataset(args.dataset)
-    featurizer = None
-    if config.protocol == "ours_serial":
-        featurizer = pipeline.featurizer_for(header)
     result = pipeline.simulate_stream(header, records, args.stream_fps,
                                       args.extraction_fps, config,
-                                      featurizer,
-                                      dataset_sha256(args.dataset))
+                                      dataset_hash=dataset_sha256(args.dataset))
     print(f"{result.num_frames} frames at {args.stream_fps} FPS: "
           f"stream {result.stream_seconds:.2f} s, "
           f"extraction {result.extraction_seconds:.2f} s")

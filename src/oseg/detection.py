@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box, apply_targets, encode_targets, iou_matrix, nms
+from .geometry import (Box, apply_targets, box_array, encode_targets,
+                       iou_matrix, nms)
 from .incremental import DetectionReservoir, UntrainableClassError
 from .kernels import train_rls
 from .minibootstrap import BootstrapConfig, run_minibootstrap
@@ -73,20 +74,6 @@ class Detection:
     proposal_index: int
 
 
-def _proposal_arrays(proposals) -> tuple[np.ndarray, np.ndarray]:
-    if not proposals:
-        return np.empty((0, 0)), np.empty((0, 4))
-    features = np.stack([np.asarray(p.feature, dtype=np.float64) for p in proposals])
-    boxes = np.stack([p.box.as_array() for p in proposals])
-    return features, boxes
-
-
-def proposal_features(record) -> np.ndarray:
-    """All per-region features of an image (the buffer source)."""
-    features, _ = _proposal_arrays(record.proposals)
-    return features
-
-
 def detection_labeler(class_ids, pos_iou: float = 0.6, neg_iou: float = 0.3):
     """Per-record labeler keyed by class id.
 
@@ -100,12 +87,10 @@ def detection_labeler(class_ids, pos_iou: float = 0.6, neg_iou: float = 0.3):
     class_ids = tuple(class_ids)
 
     def labeler(record):
-        features, boxes = _proposal_arrays(record.proposals)
+        features, boxes = record.proposal_features, record.proposal_boxes
         out = {}
         for n in class_ids:
-            gts = np.array(
-                [g.box.as_array() for g in record.gt_objects if g.class_id == n]
-            ).reshape(-1, 4)
+            gts = box_array(g.box for g in record.gt_objects if g.class_id == n)
             if gts.shape[0] == 0 or features.shape[0] == 0:
                 out[n] = ((), (), (), ())
                 continue
@@ -149,18 +134,15 @@ def train_detection_from_reservoir(
     )
 
 
-def detect(model: OnlineDetectionModel, record, proposals=None) -> list:
-    """Classify and refine regions; returns Detections, best first.
+def detect(model: OnlineDetectionModel, record) -> list:
+    """Classify and refine the record's regions; returns Detections, best first.
 
     Each class scores every region independently; scores below the
     threshold are dropped, the survivors' boxes are refined by the
     class regressor, suppressed per class, then merged, sorted by
     descending score and capped.
     """
-    if proposals is None:
-        proposals = record.proposals
-    proposals = list(proposals)
-    features, boxes = _proposal_arrays(proposals)
+    features, boxes = record.proposal_features, record.proposal_boxes
     detections: list[Detection] = []
     if features.shape[0] == 0:
         return detections

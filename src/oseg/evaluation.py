@@ -56,9 +56,6 @@ class EvalReport:
     scores: dict
     means: dict
 
-    def per_class(self, kind: str, threshold: float) -> dict:
-        return dict(self.scores[(kind, float(threshold))])
-
     def ap(self, kind: str, threshold: float, class_id: int) -> float:
         return self.scores[(kind, float(threshold))][class_id].ap
 
@@ -210,26 +207,3 @@ def evaluate(predictions, records, thresholds=DEFAULT_THRESHOLDS,
             means[(kind, thr)] = sum(aps) / len(aps) if aps else 0.0
     return EvalReport(kinds=kinds, thresholds=thresholds,
                       class_ids=tuple(class_ids), scores=scores, means=means)
-
-
-def proposal_recall(records, proposals_by_image, iou_threshold: float = 0.7):
-    """Fraction of ground-truth boxes covered by at least one proposal at
-    the given IoU, over all records.  ``proposals_by_image`` maps image id
-    to a sequence of boxes (Box instances or (box, score) pairs)."""
-    covered = 0
-    total = 0
-    for record in records:
-        if not record.gt_objects:
-            continue
-        raw = proposals_by_image.get(record.image_id, ())
-        boxes = [p[0] if isinstance(p, tuple) else p for p in raw]
-        total += len(record.gt_objects)
-        if not boxes:
-            continue
-        arr = np.stack([b.as_array() for b in boxes])
-        gts = np.stack([g.box.as_array() for g in record.gt_objects])
-        best = geometry.iou_matrix(gts, arr).max(axis=1)
-        covered += int((best >= iou_threshold).sum())
-    if total == 0:
-        raise ValueError("recall is undefined without ground truth")
-    return covered / total

@@ -6,10 +6,16 @@ feature families consumed by training: the location feature map for
 proposal learning, per-proposal feature vectors for detection, and
 per-pixel feature grids with labels for each ground-truth object.
 
+In memory a record keeps its proposals as arrays (boxes, features and
+ground-truth flags, one row per proposal) with one source for the whole
+record.  On disk the format is unchanged: the record meta lists each
+proposal's box, flag and source, and the feature rows follow the
+location map in proposal order.
+
 Tensors are stored as little-endian float64; masks and pixel labels as
 packed bits.  Reading is streaming: records are yielded one at a time in
-stored order.  The synthetic generator that fills these records lives in
-:mod:`oseg.synthetic`.
+stored order, each validated against the header.  The synthetic
+generator that fills these records lives in :mod:`oseg.synthetic`.
 """
 
 from __future__ import annotations
@@ -33,22 +39,6 @@ _F8 = np.dtype("<f8")
 
 
 @dataclass(frozen=True)
-class Proposal:
-    """A candidate region with its per-region feature vector.
-
-    ``is_gt`` marks proposals injected from ground-truth boxes;
-    ``source`` records which extraction produced the feature ("stored"
-    for the dataset's own pass, "adapted" for proposals regenerated by a
-    trained proposal module).
-    """
-
-    box: Box
-    feature: np.ndarray
-    is_gt: bool = False
-    source: str = "stored"
-
-
-@dataclass(frozen=True)
 class GtObject:
     """Ground truth: class, box, pixel mask, and per-pixel mask features."""
 
@@ -61,12 +51,23 @@ class GtObject:
 
 @dataclass(frozen=True)
 class FeatureRecord:
-    """Everything extracted from one image."""
+    """Everything extracted from one image.
+
+    The image's ``P`` candidate regions are stored as arrays: corner
+    boxes ``(P, 4)``, per-region feature vectors ``(P, det_dim)`` and
+    ``(P,)`` flags marking regions injected from ground-truth boxes.
+    ``proposal_source`` names the extraction that produced all of them:
+    "stored" for the dataset's own pass, "adapted" for regions
+    regenerated by a trained proposal module.
+    """
 
     image_id: int
     image_size: tuple[int, int]
     rpn_map: np.ndarray
-    proposals: tuple[Proposal, ...]
+    proposal_boxes: np.ndarray
+    proposal_features: np.ndarray
+    proposal_is_gt: np.ndarray
+    proposal_source: str
     gt_objects: tuple[GtObject, ...]
 
     def validate(self, header: "DatasetHeader") -> None:
@@ -81,11 +82,16 @@ class FeatureRecord:
             )
         if not np.isfinite(self.rpn_map).all():
             raise ValueError(f"record {self.image_id}: non-finite rpn map")
-        for p in self.proposals:
-            if p.feature.shape != (header.det_dim,):
-                raise ValueError(f"record {self.image_id}: bad proposal feature")
-            if not np.isfinite(p.feature).all():
-                raise ValueError(f"record {self.image_id}: non-finite proposal")
+        boxes, is_gt = self.proposal_boxes, self.proposal_is_gt
+        count = len(boxes)
+        if (boxes.shape != (count, 4) or is_gt.shape != (count,)
+                or is_gt.dtype != np.bool_
+                or self.proposal_features.shape != (count, header.det_dim)):
+            raise ValueError(f"record {self.image_id}: bad proposal arrays")
+        if not np.isfinite(self.proposal_features).all():
+            raise ValueError(f"record {self.image_id}: non-finite proposal")
+        if not ((boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])).all():
+            raise ValueError(f"record {self.image_id}: degenerate proposal box")
         for g in self.gt_objects:
             if not 0 <= g.class_id < header.num_classes:
                 raise ValueError(f"record {self.image_id}: class out of range")
@@ -182,12 +188,9 @@ def _pack_record(record: FeatureRecord) -> bytes:
         "image_size": list(record.image_size),
         "map_shape": list(record.rpn_map.shape),
         "proposals": [
-            {
-                "box": [p.box.x1, p.box.y1, p.box.x2, p.box.y2],
-                "is_gt": p.is_gt,
-                "source": p.source,
-            }
-            for p in record.proposals
+            {"box": box, "is_gt": is_gt, "source": record.proposal_source}
+            for box, is_gt in zip(record.proposal_boxes.tolist(),
+                                  record.proposal_is_gt.tolist())
         ],
         "gts": [
             {
@@ -199,9 +202,8 @@ def _pack_record(record: FeatureRecord) -> bytes:
             for g in record.gt_objects
         ],
     }
-    parts = [record.rpn_map.astype(_F8, copy=False).tobytes()]
-    for p in record.proposals:
-        parts.append(p.feature.astype(_F8, copy=False).tobytes())
+    parts = [record.rpn_map.astype(_F8, copy=False).tobytes(),
+             record.proposal_features.astype(_F8, copy=False).tobytes()]
     for g in record.gt_objects:
         parts.append(np.packbits(g.mask.bits).tobytes())
         parts.append(g.mask_features.astype(_F8, copy=False).tobytes())
@@ -235,17 +237,16 @@ def _unpack_record(payload: bytes, header: DatasetHeader, offset: int) -> Featur
 
     map_shape = tuple(int(v) for v in meta["map_shape"])
     rpn_map = take(int(np.prod(map_shape)), _F8, "rpn map").reshape(map_shape)
-    proposals = []
-    for p in meta["proposals"]:
-        feature = take(header.det_dim, _F8, "proposal feature")
-        proposals.append(
-            Proposal(
-                box=Box(*(float(v) for v in p["box"])),
-                feature=feature.copy(),
-                is_gt=bool(p["is_gt"]),
-                source=str(p["source"]),
-            )
-        )
+    proposals = meta["proposals"]
+    count = len(proposals)
+    features = take(count * header.det_dim, _F8, "proposal features")
+    # ``validate`` checks the shape of what the meta lists
+    boxes = np.array([p["box"] for p in proposals] or np.empty((0, 4)),
+                     dtype=np.float64)
+    sources = {str(p["source"]) for p in proposals}
+    if len(sources) > 1:
+        raise FormatError(f"one record lists proposal sources {sorted(sources)}",
+                          offset)
     s = header.mask_grid
     gts = []
     for g in meta["gts"]:
@@ -272,7 +273,12 @@ def _unpack_record(payload: bytes, header: DatasetHeader, offset: int) -> Featur
         image_id=int(meta["image_id"]),
         image_size=tuple(int(v) for v in meta["image_size"]),
         rpn_map=rpn_map.copy(),
-        proposals=tuple(proposals),
+        proposal_boxes=boxes,
+        proposal_features=features.reshape(count, header.det_dim).copy(),
+        proposal_is_gt=np.array([bool(p["is_gt"]) for p in proposals], dtype=bool),
+        # a record without proposals lists no source; it reads as the
+        # dataset's own extraction
+        proposal_source=sources.pop() if sources else "stored",
         gt_objects=tuple(gts),
     )
 
@@ -297,10 +303,11 @@ def read_dataset(path) -> tuple[DatasetHeader, Iterator[FeatureRecord]]:
     """Open a dataset for streaming; records are yielded lazily in order.
 
     The header is read at the call, so a bad preamble raises there.
-    Corruption raises :class:`FormatError` carrying the byte offset;
-    records yielded before the failure are valid.  The file closes when
-    the iterator is exhausted, closed or garbage-collected, also if it
-    was never started.
+    Every record is validated against the header as it is read.
+    Corruption, or a record that breaks the header's contract, raises
+    :class:`FormatError` carrying the byte offset; records yielded
+    before the failure are valid.  The file closes when the iterator is
+    exhausted, closed or garbage-collected, also if it was never started.
     """
     fh = open(path, "rb")
     try:
@@ -320,6 +327,7 @@ def read_dataset(path) -> tuple[DatasetHeader, Iterator[FeatureRecord]]:
                     return
                 with binio.malformed("record", offset):
                     record = _unpack_record(payload, header, offset)
+                    record.validate(header)
                 yield record
 
     iterator = records()

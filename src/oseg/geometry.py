@@ -47,6 +47,12 @@ class Box:
         return Box(x1, y1, x2, y2)
 
 
+def box_array(boxes) -> np.ndarray:
+    """``(n, 4)`` corners of a sequence of :class:`Box`, also when it is empty."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
+
+
 def _as_boxes(a) -> np.ndarray:
     out = np.asarray(a, dtype=np.float64)
     if out.ndim == 1:
@@ -216,13 +222,10 @@ class AnchorGrid:
     def num_shapes(self) -> int:
         return len(self.anchor_shapes)
 
-    @property
-    def num_anchors(self) -> int:
-        return self.num_locations * self.num_shapes
-
     @cached_property
     def anchor_boxes(self) -> np.ndarray:
-        """All anchors as an ``(num_anchors, 4)`` array (not clipped)."""
+        """All anchors as a ``(num_locations * num_shapes, 4)`` array (not
+        clipped)."""
         rows, cols = self.map_size
         cy, cx = np.mgrid[0:rows, 0:cols].astype(np.float64)
         cx = (cx.ravel() + 0.5) * self.stride
@@ -238,12 +241,6 @@ class AnchorGrid:
         out = out.reshape(-1, 4)
         out.setflags(write=False)
         return out
-
-    def location_of(self, anchor_index: int) -> int:
-        return anchor_index // self.num_shapes
-
-    def shape_of(self, anchor_index: int) -> int:
-        return anchor_index % self.num_shapes
 
 
 def label_anchors(anchors, gts, pos_iou: float = 0.7, neg_iou: float = 0.3):

@@ -34,6 +34,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import attrgetter
 
 import numpy as np
 from scipy.stats import chisquare
@@ -295,7 +296,7 @@ def detection_incremental_update(
     reservoir.update(
         records,
         detection.detection_labeler(class_ids, pos_iou, neg_iou),
-        buffer_extractor=detection.proposal_features,
+        buffer_extractor=attrgetter("proposal_features"),
     )
     starved = [c for c in new_class_ids if reservoir.positives[c].shape[0] == 0]
     if starved:

@@ -64,10 +64,6 @@ class KernelClassifier:
         """Raw margin scores for a batch of feature vectors, shape (n,)."""
         return gaussian_kernel(x, self.centers, self.sigma) @ self.weights
 
-    def score(self, x) -> float:
-        """Raw margin score of a single feature vector."""
-        return float(self.decision_values(np.asarray(x, dtype=np.float64)[None, :])[0])
-
 
 def train_kernel_classifier(
     positives,

@@ -1,4 +1,4 @@
-"""Training protocols, stream-time accounting, model selection, inference.
+"""Training protocols, stream-time accounting and inference.
 
 Two protocols build the same three on-line modules from a dataset of
 pre-extracted features.  ``ours`` makes a single pass and trains the
@@ -28,8 +28,9 @@ import scipy
 import oseg
 from oseg.detection import (DetectionTrainConfig, detect,
                             train_detection_from_reservoir)
-from oseg.evaluation import InstancePrediction, evaluate, proposal_recall
-from oseg.feature_store import DatasetHeader, Proposal
+from oseg.evaluation import InstancePrediction
+from oseg.feature_store import DatasetHeader
+from oseg.geometry import box_array
 from oseg.incremental import (DetectionReservoir, RpnReservoir,
                               detection_incremental_update,
                               rpn_incremental_update)
@@ -264,11 +265,10 @@ def _present_class_ids(records) -> list:
 
 def _check_sources(records, expected: str) -> None:
     for record in records:
-        for p in record.proposals:
-            if p.source != expected:
-                raise ValueError(
-                    f"image {record.image_id}: proposal source {p.source!r},"
-                    f" expected {expected!r}")
+        if record.proposal_source != expected:
+            raise ValueError(
+                f"image {record.image_id}: proposal source "
+                f"{record.proposal_source!r}, expected {expected!r}")
 
 
 def _fresh_reservoirs(config: ProtocolConfig) -> tuple:
@@ -377,11 +377,12 @@ def adapt_records(rpn_model, records, featurizer):
     adapted = []
     for record in records:
         boxes = [box for box, _ in propose(rpn_model, record)]
-        features = featurizer.detection(record.image_id, boxes)
-        proposals = tuple(
-            Proposal(box=box, feature=feature, is_gt=False, source="adapted")
-            for box, feature in zip(boxes, features))
-        adapted.append(dataclasses.replace(record, proposals=proposals))
+        adapted.append(dataclasses.replace(
+            record,
+            proposal_boxes=box_array(boxes),
+            proposal_features=featurizer.detection(record.image_id, boxes),
+            proposal_is_gt=np.zeros(len(boxes), dtype=bool),
+            proposal_source="adapted"))
     return adapted
 
 
@@ -551,91 +552,6 @@ def simulate_stream(header: DatasetHeader, records, stream_fps: float,
                             stream_mode=True))
 
 
-def _grid_candidates(sigmas, lams):
-    candidates = [(float(s), float(l)) for s in sigmas for l in lams]
-    if not candidates:
-        raise ValueError("empty hyper-parameter grid")
-    return candidates
-
-
-def _argmax_larger_lam(scored):
-    """Pick the best (sigma, lam); ties go to the larger lam, then to the
-    earlier grid entry."""
-    best = None
-    for sigma, lam, score in scored:
-        if best is None or (score, lam) > (best[2], best[1]):
-            best = (sigma, lam, score)
-    return (best[0], best[1]), best[2]
-
-
-def cross_validate(header: DatasetHeader, train_records, val_records,
-                   config: ProtocolConfig, sigmas, lams,
-                   featurizer=None) -> dict:
-    """Grid-search kernel width and regularization per module.
-
-    The proposal module maximizes validation recall at IoU 0.7; the
-    detection and segmentation modules maximize validation mask mAP at
-    IoU 0.5, searched sequentially in that order.  Returns
-    ``{module: {"sigma", "lam", "score"}}``.
-    """
-    candidates = _grid_candidates(sigmas, lams)
-    train_records = list(train_records)
-    val_records = list(val_records)
-    train_ids = {r.image_id for r in train_records}
-    if train_ids & {r.image_id for r in val_records}:
-        raise ValueError("validation split overlaps the training split")
-    if featurizer is None:
-        featurizer = featurizer_for(header)
-
-    scored = []
-    for sigma, lam in candidates:
-        trial = config.replace(rpn_sigma=sigma, rpn_lam=lam)
-        result = train_ours(header, train_records, trial)
-        proposals = {r.image_id: propose(result.model.rpn, r)
-                     for r in val_records}
-        scored.append((sigma, lam,
-                       proposal_recall(val_records, proposals, 0.7)))
-    (rpn_sigma, rpn_lam), rpn_score = _argmax_larger_lam(scored)
-    config = config.replace(rpn_sigma=rpn_sigma, rpn_lam=rpn_lam)
-
-    def segm_map50(trial_config):
-        result = train_ours(header, train_records, trial_config)
-        preds = []
-        for record in val_records:
-            preds.extend(infer(result.model, record, featurizer))
-        report = evaluate(preds, val_records, thresholds=(0.5,))
-        return report.mean_ap("segm", 0.5)
-
-    scored = [(s, l, segm_map50(config.replace(detection_sigma=s,
-                                               detection_lam=l)))
-              for s, l in candidates]
-    (det_sigma, det_lam), det_score = _argmax_larger_lam(scored)
-    config = config.replace(detection_sigma=det_sigma, detection_lam=det_lam)
-
-    scored = [(s, l, segm_map50(config.replace(segmentation_sigma=s,
-                                               segmentation_lam=l)))
-              for s, l in candidates]
-    (seg_sigma, seg_lam), seg_score = _argmax_larger_lam(scored)
-
-    return {
-        "rpn": {"sigma": rpn_sigma, "lam": rpn_lam, "score": rpn_score},
-        "detection": {"sigma": det_sigma, "lam": det_lam,
-                      "score": det_score},
-        "segmentation": {"sigma": seg_sigma, "lam": seg_lam,
-                         "score": seg_score},
-    }
-
-
-def apply_choices(config: ProtocolConfig, choices: dict) -> ProtocolConfig:
-    """Fold cross-validation winners back into a run config."""
-    return config.replace(
-        rpn_sigma=choices["rpn"]["sigma"], rpn_lam=choices["rpn"]["lam"],
-        detection_sigma=choices["detection"]["sigma"],
-        detection_lam=choices["detection"]["lam"],
-        segmentation_sigma=choices["segmentation"]["sigma"],
-        segmentation_lam=choices["segmentation"]["lam"])
-
-
 def infer(model: PipelineModel, record, featurizer=None,
           use_stored_proposals: bool = False,
           with_masks: bool = True) -> list:
@@ -647,14 +563,11 @@ def infer(model: PipelineModel, record, featurizer=None,
     exist in the store.  ``with_masks=False`` yields box-only predictions
     and is the one combination that works without a featurizer.
     """
-    if use_stored_proposals:
-        proposals = record.proposals
-    else:
+    if not use_stored_proposals:
         if featurizer is None:
             raise ValueError("proposal featurization needs a featurizer")
-        proposals = adapt_records(model.rpn, [record],
-                                  featurizer)[0].proposals
-    detections = detect(model.detection, record, proposals=proposals)
+        record = adapt_records(model.rpn, [record], featurizer)[0]
+    detections = detect(model.detection, record)
     predictions = []
     for d in detections:
         mask = None

@@ -23,6 +23,7 @@ from .geometry import (
     AnchorGrid,
     Box,
     apply_targets,
+    box_array,
     encode_targets,
     label_anchors,
     nms,
@@ -104,9 +105,7 @@ def rpn_labeler(
 
     def labeler(record):
         feats = _location_features(record, grid)
-        gts = np.array(
-            [g.box.as_array() for g in record.gt_objects], dtype=np.float64
-        ).reshape(-1, 4)
+        gts = box_array(g.box for g in record.gt_objects)
         labels, best_gt, best_iou = label_anchors(grid.anchor_boxes, gts, pos_iou, neg_iou)
         out = {}
         for a in range(grid.num_shapes):

@@ -30,11 +30,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .feature_store import DatasetHeader, FeatureRecord, GtObject, Proposal, write_dataset
+from .feature_store import DatasetHeader, FeatureRecord, GtObject, write_dataset
 from .geometry import (
     AnchorGrid,
     BinaryMask,
     Box,
+    box_array,
     ellipse_mask,
     iou_matrix,
     pixel_bounds,
@@ -51,12 +52,6 @@ _GAP = 4
 class PlacedObject:
     class_id: int
     box: Box
-
-
-def _corners(boxes) -> np.ndarray:
-    """``(n, 4)`` float64 corners of a list of boxes, also when it is empty."""
-    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes],
-                    dtype=np.float64).reshape(-1, 4)
 
 
 def _quantized(coords: np.ndarray) -> list[tuple[str, str, str, str]]:
@@ -256,9 +251,9 @@ class SyntheticWorld:
         boxes = list(boxes)
         for box in boxes:
             self._check_inside(box)
-        coords = _corners(boxes)
+        coords = box_array(boxes)
         objects = self.layout(image_id)
-        weights = iou_matrix(coords, _corners([o.box for o in objects]))
+        weights = iou_matrix(coords, box_array([o.box for o in objects]))
         out = np.zeros((len(boxes), self.det_dim))
         total = np.zeros(len(boxes))
         for j, obj in enumerate(objects):
@@ -298,12 +293,6 @@ class SyntheticWorld:
                              *_quantized(box.as_array())[0])
         return feats, bits
 
-    def oracle_features(self, image_id: int, box: Box) -> tuple[np.ndarray, np.ndarray]:
-        """Featurize an arbitrary in-image box exactly as storage would."""
-        det = self.detection_features(image_id, [box])[0]
-        seg, _ = self.mask_feature_grid(image_id, box)
-        return det, seg
-
     # -- record assembly ---------------------------------------------------
 
     def _jitter_box(self, gt: Box, target_iou: float, rng) -> Box:
@@ -330,7 +319,10 @@ class SyntheticWorld:
 
     _IOU_BANDS = ((0.65, 0.9), (0.35, 0.55), (0.05, 0.25))
 
-    def _stored_proposals(self, image_id: int) -> list[Proposal]:
+    def _stored_proposals(self, image_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Boxes, region features and ground-truth flags of the stored
+        proposals: the ground-truth boxes first, then jittered and
+        background boxes."""
         rng = rng_for(self.seed, "proposals", image_id)
         objects = self.layout(image_id)
         boxes: list[Box] = []
@@ -343,10 +335,7 @@ class SyntheticWorld:
                 target = float(rng.uniform(lo, hi))
                 boxes.append(self._jitter_box(obj.box, target, rng))
         w_img, h_img = self.image_size
-        if objects:
-            gt_arr = np.stack([o.box.as_array() for o in objects])
-        else:
-            gt_arr = None
+        gt_arr = box_array([o.box for o in objects])
         for _ in range(self.background_proposals):
             for _ in range(_BACKGROUND_TRIES):
                 bw = float(rng.uniform(24, 120))
@@ -354,13 +343,12 @@ class SyntheticWorld:
                 x1 = float(rng.uniform(0, w_img - bw))
                 y1 = float(rng.uniform(0, h_img - bh))
                 box = Box(x1, y1, x1 + bw, y1 + bh)
-                if gt_arr is None or iou_matrix(box.as_array(), gt_arr).max() < 0.3:
+                if not len(gt_arr) or iou_matrix(box.as_array(), gt_arr).max() < 0.3:
                     boxes.append(box)
                     break
         # featurizing draws nothing from ``rng``, so it can run last
         feats = self.detection_features(image_id, boxes)
-        return [Proposal(box, det, is_gt=i < num_gt, source="stored")
-                for i, (box, det) in enumerate(zip(boxes, feats))]
+        return box_array(boxes), feats, np.arange(len(boxes)) < num_gt
 
     def render_record(self, image_id: int) -> FeatureRecord:
         objects = self.layout(image_id)
@@ -378,11 +366,15 @@ class SyntheticWorld:
                     pixel_labels=grid_bits,
                 )
             )
+        boxes, feats, is_gt = self._stored_proposals(image_id)
         return FeatureRecord(
             image_id=int(image_id),
             image_size=tuple(self.image_size),
             rpn_map=self.rpn_map(image_id),
-            proposals=tuple(self._stored_proposals(image_id)),
+            proposal_boxes=boxes,
+            proposal_features=feats,
+            proposal_is_gt=is_gt,
+            proposal_source="stored",
             gt_objects=tuple(gts),
         )
 

@@ -1,5 +1,7 @@
 """Per-class detector tests: labeling, training paths, inference behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,18 +28,26 @@ class FakeGt:
         self.box = box
 
 
-class FakeProposal:
-    def __init__(self, index, box):
-        self.box = box
-        self.feature = np.array([float(index), 0.0, 0.0, 0.0])
-
-
 class FakeRecord:
+    """Proposal i has the feature row ``[i, 0, 0, 0]``."""
+
     def __init__(self, image_id, gts, boxes):
         self.image_id = image_id
         self.image_size = (320, 320)
         self.gt_objects = [FakeGt(c, Box(*b)) for c, b in gts]
-        self.proposals = [FakeProposal(i, Box(*b)) for i, b in enumerate(boxes)]
+        self.proposal_boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+        self.proposal_features = np.zeros((len(boxes), 4))
+        self.proposal_features[:, 0] = np.arange(len(boxes))
+
+
+def with_proposals(record, index):
+    """The record with only the proposals selected by ``index``."""
+    return dataclasses.replace(
+        record,
+        proposal_boxes=record.proposal_boxes[index],
+        proposal_features=record.proposal_features[index],
+        proposal_is_gt=record.proposal_is_gt[index],
+    )
 
 
 def tags_of(rows):
@@ -91,7 +101,7 @@ class TestLabeling:
 
     def test_exact_half_iou_construction(self):
         record = self.record()
-        assert iou(record.proposals[1].box, record.gt_objects[0].box) == 0.5
+        assert iou(record.proposal_boxes[1], record.gt_objects[0].box) == 0.5
 
     def test_absent_class_reports_empty(self):
         labeled = detection_labeler([0, 1])(self.record())
@@ -114,7 +124,7 @@ class TestLabeling:
         record = self.record()
         _, _, feats, targets = detection_labeler([0])(record)[0]
         assert tags_of(feats) == {0, 3}
-        boxes = np.array([record.proposals[i].box.as_array() for i in (0, 3)])
+        boxes = record.proposal_boxes[[0, 3]]
         decoded, ok = apply_targets(boxes, np.asarray(targets), record.image_size)
         assert ok.all()
         for row in decoded:
@@ -220,7 +230,7 @@ class TestDetect:
 
     def test_empty_proposals_empty_result(self):
         record = self.test_records[0]
-        assert detect(self.model, record, proposals=[]) == []
+        assert detect(self.model, with_proposals(record, slice(0))) == []
 
     def test_high_threshold_silences(self):
         model = train_detector(
@@ -233,17 +243,20 @@ class TestDetect:
 
     def test_proposal_index_points_into_input(self):
         record = self.test_records[0]
-        proposals = list(record.proposals)
-        for d in detect(self.model, record, proposals=proposals):
-            assert 0 <= d.proposal_index < len(proposals)
+        boxes = record.proposal_boxes
+        detections = detect(self.model, record)
+        assert detections
+        for d in detections:
+            assert 0 <= d.proposal_index < len(boxes)
             # the refined box stays near its source proposal
-            assert iou(d.box, proposals[d.proposal_index].box) > 0.3
+            assert iou(d.box, boxes[d.proposal_index]) > 0.3
 
     def test_explicit_proposals_override_record(self):
         record = self.test_records[0]
         gt = record.gt_objects[0]
-        lone = [p for p in record.proposals if iou(p.box, gt.box) == 1.0][:1]
+        lone = [i for i, box in enumerate(record.proposal_boxes)
+                if iou(box, gt.box) == 1.0][:1]
         assert lone
-        detections = detect(self.model, record, proposals=lone)
+        detections = detect(self.model, with_proposals(record, lone))
         assert detections
         assert all(d.proposal_index == 0 for d in detections)

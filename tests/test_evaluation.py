@@ -8,8 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oseg.evaluation import (InstancePrediction, average_precision, evaluate,
-                             proposal_recall)
+from oseg.evaluation import InstancePrediction, average_precision, evaluate
 from oseg.geometry import BinaryMask, Box, iou, mask_iou, pixel_bounds
 
 IMAGE_SIZE = (320, 320)
@@ -276,7 +275,7 @@ class TestEvaluate:
         records, preds = two_class_world()
         preds = preds + [pred(0, 1, 0.1, (250, 250, 300, 300))]
         report = evaluate(preds, records)
-        cell = report.per_class("bbox", 0.5)
+        cell = report.scores[("bbox", 0.5)]
         assert cell[1].matched == 2
         assert cell[1].unmatched == 1
         assert cell[1].num_gts == 2
@@ -367,23 +366,3 @@ class TestEvaluate:
             evaluate(preds, records, thresholds=(0.0,))
         with pytest.raises(ValueError, match="finite"):
             InstancePrediction(0, 1, float("nan"), Box(0, 0, 10, 10))
-
-
-class TestProposalRecall:
-    def test_counts_covered_gts(self):
-        records = [FakeRecord(0, (gt(1, (0, 0, 100, 100)),
-                                  gt(2, (200, 200, 300, 300))))]
-        proposals = {0: [(Box(0, 0, 100, 100), 0.9), (Box(5, 5, 50, 50), 0.2)]}
-        assert proposal_recall(records, proposals, 0.7) == 0.5
-
-    def test_plain_boxes_accepted(self):
-        records = [FakeRecord(0, (gt(1, (0, 0, 100, 100)),))]
-        assert proposal_recall(records, {0: [Box(0, 0, 100, 100)]}) == 1.0
-
-    def test_missing_image_counts_as_misses(self):
-        records = [FakeRecord(0, (gt(1, (0, 0, 100, 100)),))]
-        assert proposal_recall(records, {}) == 0.0
-
-    def test_no_ground_truth_is_an_error(self):
-        with pytest.raises(ValueError, match="ground truth"):
-            proposal_recall([FakeRecord(0, ())], {})

@@ -1,6 +1,8 @@
 """Dataset format round-trips and synthetic oracle formulas."""
 
+import dataclasses
 import gc
+import json
 import re
 import warnings
 
@@ -35,12 +37,11 @@ def records_equal(a, b) -> bool:
         return False
     if not np.array_equal(a.rpn_map, b.rpn_map):
         return False
-    if len(a.proposals) != len(b.proposals):
+    if a.proposal_source != b.proposal_source:
         return False
-    for p, q in zip(a.proposals, b.proposals):
-        if p.box != q.box or p.is_gt != q.is_gt or p.source != q.source:
-            return False
-        if not np.array_equal(p.feature, q.feature):
+    for name in ("proposal_boxes", "proposal_features", "proposal_is_gt"):
+        x, y = getattr(a, name), getattr(b, name)
+        if x.dtype != y.dtype or not np.array_equal(x, y):
             return False
     if len(a.gt_objects) != len(b.gt_objects):
         return False
@@ -161,23 +162,131 @@ def tiny_dataset(path) -> bytes:
     return path.read_bytes()
 
 
+def record_blocks(raw) -> list:
+    """``(offset, payload)`` of every record block of a dataset file."""
+    pos = len(DATASET_MAGIC) + 12 + int.from_bytes(raw[8:16], "little")
+    blocks = []
+    while pos < len(raw):
+        length = int.from_bytes(raw[pos:pos + 8], "little")
+        blocks.append((pos, raw[pos + 8:pos + 8 + length]))
+        pos += 8 + length
+    return blocks
+
+
+def split_payload(payload) -> tuple[dict, int]:
+    """A record payload's meta and the payload position its blob starts at."""
+    meta_len = int.from_bytes(payload[:8], "little")
+    return json.loads(payload[8:8 + meta_len]), 8 + meta_len
+
+
+def tensor_regions(offset, payload, header) -> list:
+    """File ``(start, end)`` of every tensor of one record block, in
+    stored order: rpn map, proposal features, then per ground truth its
+    mask bits, mask features and pixel labels."""
+    meta, blob = split_payload(payload)
+    s = header.mask_grid
+    sizes = [8 * int(np.prod(meta["map_shape"])),
+             8 * len(meta["proposals"]) * header.det_dim]
+    for g in meta["gts"]:
+        mh, mw = g["mask_shape"]
+        sizes += [-(-mh * mw // 8), 8 * s * s * header.seg_dim, -(-s * s // 8)]
+    start = offset + 8 + blob
+    regions = []
+    for size in sizes:
+        regions.append((start, start + size))
+        start += size
+    assert start == offset + 8 + len(payload)
+    return regions
+
+
 def test_flipped_preamble_or_meta_byte_is_a_format_error(tmp_path):
     path = tmp_path / "d.oseg"
     raw = tiny_dataset(path)
-    first_block = len(DATASET_MAGIC) + 12 + int.from_bytes(raw[8:16], "little")
-    meta_start = first_block + 16  # block length, then meta length
-    meta_end = meta_start + int.from_bytes(raw[first_block + 8:meta_start], "little")
-    rejected = 0
-    for i in range(meta_end):
-        for bit in (0x01, 0x20):
-            data = bytearray(raw)
-            data[i] ^= bit
-            path.write_bytes(bytes(data))
-            try:  # any other exception fails the test
-                load_dataset(path)
-            except FormatError:
-                rejected += 1
-    assert rejected > meta_end  # most flips break the file
+    header, _ = load_dataset(path)
+    blocks = record_blocks(raw)
+    assert len(blocks) == 2
+
+    def flip_each(positions) -> int:
+        """Read the file once per flipped bit; returns the FormatError count."""
+        rejected = 0
+        for i in positions:
+            for bit in (0x01, 0x20):
+                data = bytearray(raw)
+                data[i] ^= bit
+                path.write_bytes(bytes(data))
+                try:  # any other exception fails the test
+                    load_dataset(path)
+                except FormatError:
+                    rejected += 1
+        return rejected
+
+    # every byte of the preamble and of each record's block prefix and meta
+    metas = [range(0, blocks[0][0])]
+    metas += [range(offset, offset + 8 + split_payload(payload)[1])
+              for offset, payload in blocks]
+    for positions in metas:
+        assert flip_each(positions) > len(positions)  # most flips break the file
+    # a strided sample of every tensor block, with each block's first and
+    # last byte
+    sample = set()
+    for offset, payload in blocks:
+        for start, end in tensor_regions(offset, payload, header):
+            sample.update(range(start, end, 5))
+            sample.add(end - 1)
+    assert len(sample) > 600
+    flip_each(sorted(sample))
+
+
+def edit_meta(path, index, edit) -> int:
+    """Apply ``edit`` to the meta of record ``index``, keeping every length
+    prefix consistent; returns the record's block offset."""
+    raw = path.read_bytes()
+    offset, payload = record_blocks(raw)[index]
+    meta, blob = split_payload(payload)
+    edit(meta)
+    meta_bytes = binio.canonical_json(meta)
+    new = len(meta_bytes).to_bytes(8, "little") + meta_bytes + payload[blob:]
+    path.write_bytes(raw[:offset] + len(new).to_bytes(8, "little") + new
+                     + raw[offset + 8 + len(payload):])
+    return offset
+
+
+def set_proposal(index, key, value):
+    def edit(meta):
+        meta["proposals"][index][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: meta["gts"][0].update(class_id=7), "class out of range"),
+    (lambda meta: meta.update(image_size=[228, 128]), "image size mismatch"),
+    (set_proposal(1, "source", "adapted"), "proposal sources"),
+    (set_proposal(0, "box", [10.0, 10.0, 10.0, 20.0]), "degenerate"),
+], ids=["class-id", "image-size", "mixed-source", "degenerate-box"])
+def test_record_breaking_the_header_contract_is_a_format_error(tmp_path, edit,
+                                                               message):
+    path = tmp_path / "d.oseg"
+    tiny_dataset(path)
+    offset = edit_meta(path, 1, edit)
+    _, stream = read_dataset(path)
+    assert next(stream).image_id == 0
+    with pytest.raises(FormatError, match=message) as err:
+        next(stream)
+    assert err.value.offset == offset
+
+
+def test_non_finite_tensor_is_a_format_error(tmp_path):
+    path = tmp_path / "d.oseg"
+    raw = tiny_dataset(path)
+    header, _ = load_dataset(path)
+    offset, payload = record_blocks(raw)[0]
+    start, _ = tensor_regions(offset, payload, header)[1]  # proposal features
+    data = bytearray(raw)
+    data[start:start + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="non-finite proposal") as err:
+        load_dataset(path)
+    assert err.value.offset == offset
 
 
 def test_huge_header_length_is_a_format_error(tmp_path):
@@ -192,13 +301,7 @@ def test_huge_header_length_is_a_format_error(tmp_path):
 def test_validation_rejects_bad_map_shape(tmp_path):
     world = small_world()
     record = world.render_record(0)
-    bad = type(record)(
-        image_id=record.image_id,
-        image_size=record.image_size,
-        rpn_map=record.rpn_map[:, :-1],
-        proposals=record.proposals,
-        gt_objects=record.gt_objects,
-    )
+    bad = dataclasses.replace(record, rpn_map=record.rpn_map[:, :-1])
     with pytest.raises(ValueError, match="rpn map shape"):
         write_dataset(tmp_path / "d.oseg", world.header(), [bad])
 
@@ -259,18 +362,21 @@ def test_half_iou_mixes_prototype_and_background():
 def test_oracle_matches_stored_features():
     world = small_world(noise=0.3, seed=5, max_objects=2)
     record = world.render_record(3)
-    for p in record.proposals:
-        det, _ = world.oracle_features(3, p.box)
-        assert np.array_equal(det, p.feature)
+    for box, feature in zip(record.proposal_boxes, record.proposal_features):
+        det = world.detection_features(3, [Box.from_array(box)])[0]
+        assert np.array_equal(det, feature)
     for g in record.gt_objects:
-        _, seg = world.oracle_features(3, g.box)
+        seg, _ = world.mask_feature_grid(3, g.box)
         assert np.array_equal(seg, g.mask_features)
 
 
 def test_oracle_rejects_outside_box():
     world = small_world()
+    outside = Box(300.0, 10.0, 340.0, 50.0)
     with pytest.raises(ValueError, match="outside image"):
-        world.oracle_features(0, Box(300.0, 10.0, 340.0, 50.0))
+        world.detection_features(0, [outside])
+    with pytest.raises(ValueError, match="outside image"):
+        world.mask_feature_grid(0, outside)
 
 
 def detection_feature_reference(world, image_id, box):
@@ -294,7 +400,7 @@ def detection_feature_reference(world, image_id, box):
 def test_detection_rows_equal_one_box_calls(noise):
     world = small_world(noise=noise, seed=5, max_objects=3)
     record = world.render_record(2)
-    boxes = [p.box for p in record.proposals] + [Box(1.0, 1.0, 9.0, 9.0)]
+    boxes = [Box.from_array(b) for b in record.proposal_boxes] + [Box(1.0, 1.0, 9.0, 9.0)]
     order = rng_for(5, "shuffle").permutation(len(boxes))
     shuffled = [boxes[i] for i in order]
     repeated = shuffled[:4] + shuffled[:4] + shuffled[2:3]
@@ -341,14 +447,14 @@ def test_oracle_quantization_determinism():
     base = Box(50.2, 60.2, 110.2, 120.2)
     jittered = Box(50.1, 60.1, 110.1, 120.1)  # same 0.5 px quantization
     moved = Box(50.8, 60.2, 110.8, 120.2)
-    det_a, _ = world.oracle_features(0, base)
-    det_b, _ = world.oracle_features(0, jittered)
-    det_c, _ = world.oracle_features(0, moved)
+    det_a = world.detection_features(0, [base])[0]
+    det_b = world.detection_features(0, [jittered])[0]
+    det_c = world.detection_features(0, [moved])[0]
     # identical noise stream, slightly different IoU term
     assert np.abs(det_a - det_b).max() < 0.05
     # a genuinely different quantization cell draws fresh noise
     assert not np.array_equal(det_a, det_c)
-    det_a2, _ = world.oracle_features(0, base)
+    det_a2 = world.detection_features(0, [base])[0]
     assert np.array_equal(det_a, det_a2)
 
 
@@ -418,16 +524,15 @@ def test_proposals_cover_iou_bands():
     for image_id in range(5):
         record = world.render_record(image_id)
         gt_boxes = np.stack([g.box.as_array() for g in record.gt_objects])
-        jittered = [p for p in record.proposals if not p.is_gt]
-        assert jittered
-        best = [
-            iou_matrix(p.box.as_array(), gt_boxes).max() for p in jittered
-        ]
+        jittered = record.proposal_boxes[~record.proposal_is_gt]
+        assert len(jittered)
+        best = iou_matrix(jittered, gt_boxes).max(axis=1)
         assert any(v > 0.6 for v in best)
         assert any(0.3 < v < 0.6 for v in best)
         assert any(v < 0.3 for v in best)
-        for p, g in zip(record.proposals, record.gt_objects):
-            assert p.is_gt and p.box == g.box
+        for box, is_gt, g in zip(record.proposal_boxes, record.proposal_is_gt,
+                                 record.gt_objects):
+            assert is_gt and Box.from_array(box) == g.box
 
 
 def test_gt_masks_inside_boxes():

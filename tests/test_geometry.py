@@ -201,7 +201,7 @@ class TestAnchorGrid:
     def test_default_layout(self):
         g = AnchorGrid()
         assert g.map_size == (20, 20)
-        assert g.num_anchors == 20 * 20 * 3
+        assert g.num_locations * g.num_shapes == 20 * 20 * 3
         a = g.anchor_boxes
         assert a.shape == (1200, 4)
         # first cell center is (8, 8); the square anchor comes first
@@ -212,9 +212,11 @@ class TestAnchorGrid:
         np.testing.assert_allclose(a[3], [24 - 32, 8 - 32, 24 + 32, 8 + 32])
 
     def test_indexing_helpers(self):
+        # anchor 7 is shape 1 (96 x 48) of location 2, the cell centered
+        # at (40, 8)
         g = AnchorGrid()
-        assert g.location_of(7) == 2
-        assert g.shape_of(7) == 1
+        np.testing.assert_allclose(g.anchor_boxes[7],
+                                   [40 - 48, 8 - 24, 40 + 48, 8 + 24])
 
     def test_non_multiple_size_rounds_up(self):
         g = AnchorGrid(image_size=(321, 320))

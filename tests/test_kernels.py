@@ -133,8 +133,8 @@ class TestKernelClassifierBehavior:
         neg = rng.normal(loc=-2.0, scale=0.3, size=(80, 4))
         model = train_kernel_classifier(pos, neg, num_centers=50,
                                         sigma=3.0, lam=1e-5, seed=11)
-        assert model.score(np.full(4, 2.0)) > 0.0
-        assert model.score(np.full(4, -2.0)) < 0.0
+        assert model.decision_values(np.full(4, 2.0)[None])[0] > 0.0
+        assert model.decision_values(np.full(4, -2.0)[None])[0] < 0.0
         scores = model.decision_values(np.vstack([pos, neg]))
         assert np.all(scores[:60] > scores[60:].max())
 
@@ -154,33 +154,34 @@ class TestKernelClassifierBehavior:
         pos = rng.normal(loc=1.0, size=(25, 3))
         neg = rng.normal(loc=-1.0, size=(25, 3))
         x = rng.normal(size=3)
-        base = train_kernel_classifier(pos, neg, 50, 2.0, 1e-4, seed=1).score(x)
-        nudged = train_kernel_classifier(pos, neg, 50, 2.0 + 1e-7, 1e-4, seed=1).score(x)
+        base = train_kernel_classifier(pos, neg, 50, 2.0, 1e-4, seed=1)
+        nudged = train_kernel_classifier(pos, neg, 50, 2.0 + 1e-7, 1e-4, seed=1)
+        base, nudged = (m.decision_values(x[None])[0] for m in (base, nudged))
         assert abs(base - nudged) < 1e-4
 
     def test_symmetric_pair_scores_zero_at_midpoint(self):
         pos = np.array([[1.0, 0.0]])
         neg = np.array([[-1.0, 0.0]])
         model = train_kernel_classifier(pos, neg, 2, 1.0, 1e-4, seed=0)
-        assert model.score(np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
+        assert model.decision_values(np.zeros((1, 2)))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_repeated_positive_tiny_lambda_scores_one(self):
         x = np.array([0.5, -0.5, 1.0])
         pos = np.tile(x, (3, 1))
         neg = np.full((1, 3), 100.0)  # far enough to decouple
         model = train_kernel_classifier(pos, neg, 4, 1.0, 1e-9, seed=0)
-        assert model.score(x) == pytest.approx(1.0, abs=1e-3)
+        assert model.decision_values(x[None])[0] == pytest.approx(1.0, abs=1e-3)
 
     def test_single_center_decay_and_permutation(self):
         center = np.zeros((1, 3))
         model = KernelClassifier(centers=center, weights=np.array([1.0]),
                                  sigma=2.0, lam=1e-4)
-        assert model.score(center[0]) == pytest.approx(1.0)
-        radii = [model.score(np.array([r, 0.0, 0.0])) for r in (0.5, 1.0, 2.0)]
+        assert model.decision_values(center)[0] == pytest.approx(1.0)
+        radii = model.decision_values(np.array([[r, 0.0, 0.0] for r in (0.5, 1.0, 2.0)]))
         assert radii[0] > radii[1] > radii[2] > 0.0
         zero = KernelClassifier(centers=center, weights=np.array([0.0]),
                                 sigma=2.0, lam=1e-4)
-        assert zero.score(np.ones(3)) == 0.0
+        assert zero.decision_values(np.ones(3)[None])[0] == 0.0
 
     def test_center_permutation_invariance(self):
         rng = rng_for(202, "perm")
@@ -190,7 +191,8 @@ class TestKernelClassifierBehavior:
         order = rng.permutation(10)
         b = KernelClassifier(centers[order], weights[order], 1.5, 1e-4)
         x = rng.normal(size=4)
-        assert a.score(x) == pytest.approx(b.score(x), rel=1e-12)
+        assert a.decision_values(x[None])[0] == pytest.approx(
+            b.decision_values(x[None])[0], rel=1e-12)
 
     def test_argument_validation(self):
         pos = np.ones((5, 3))

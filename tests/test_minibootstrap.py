@@ -214,7 +214,7 @@ class TestMineHardNegatives:
         batches = make_batches(pool, 0, cfg, seed=2)
         model, stats = mine_hard_negatives(pos, batches, cfg, seed=2)
         assert (model.decision_values(pos) > 0).mean() > 0.95
-        assert model.score(np.full(5, -3.0)) < 0
+        assert model.decision_values(np.full(5, -3.0)[None])[0] < 0
         # separable data: almost all easy negatives get pruned away
         total = sum(b.shape[0] for b in batches)
         assert stats.iterations[-1].active_negatives < 0.1 * total

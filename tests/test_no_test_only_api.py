@@ -1,0 +1,75 @@
+"""Every public name in ``src/oseg`` has a caller outside the tests.
+
+A public function, method or class counts as used when its name occurs
+anywhere in ``src/oseg``, ``demos/`` or ``perfbench/`` other than its own
+definition: as a name, an attribute or an imported name.  The match is
+by name only, so a same-named reference elsewhere also counts.
+"""
+
+import ast
+import pathlib
+from collections import Counter
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "oseg"
+
+# names that only tests call on purpose, with the reason each stays
+KEPT = {
+    "train_incremental": "acceptance check 04 runs the incremental protocol",
+    "average_precision": "acceptance check 09 scores one class",
+    "set_layout": "test seam: pins an explicit synthetic layout",
+    "background_prototype": "test seam: the oracle's background feature row",
+    "prototypes": "test seam: the oracle's class feature rows",
+    "to_canvas": "reference paste of a mask onto the image, for tests",
+}
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public_definitions(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, _DEFINITIONS) and not node.name.startswith("_"):
+            yield node.name, node.lineno
+
+
+def _references(tree) -> Counter:
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rsplit(".", 1)[-1]] += 1
+    return names
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _non_test_references() -> Counter:
+    references = Counter()
+    for path in [*SOURCE.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+                 *(ROOT / "perfbench").glob("*.py")]:
+        references.update(_references(_parse(path)))
+    return references
+
+
+def test_every_public_name_has_a_non_test_caller():
+    references = _non_test_references()
+    unused = sorted(
+        f"{path.name}:{line} {name}"
+        for path in SOURCE.glob("*.py")
+        for name, line in _public_definitions(_parse(path))
+        if not references[name] and name not in KEPT
+    )
+    assert not unused, f"public names without a non-test caller: {unused}"
+
+
+def test_kept_names_exist_and_have_no_other_caller():
+    defined = {name for path in SOURCE.glob("*.py")
+               for name, _ in _public_definitions(_parse(path))}
+    assert set(KEPT) <= defined
+    references = _non_test_references()
+    assert not [name for name in KEPT if references[name]]

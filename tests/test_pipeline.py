@@ -1,4 +1,4 @@
-"""Training protocols, stream timing, model selection and inference."""
+"""Training protocols, stream timing and inference."""
 
 import dataclasses
 import time
@@ -9,7 +9,7 @@ import pytest
 
 from oseg import pipeline
 from oseg.evaluation import evaluate
-from oseg.geometry import mask_iou
+from oseg.geometry import Box, mask_iou
 from oseg.incremental import UntrainableClassError
 from oseg.model_io import classifier_bytes, model_bytes
 from oseg.pipeline import (ACQUISITION, BACKLOG, DETECTION_TRAINING,
@@ -276,25 +276,26 @@ def test_detection_reservoir_update_is_timed(monkeypatch, header,
 
 
 class TestAdaptRecords:
-    def test_proposals_replaced_and_flagged(self, ours, train_records,
-                                            featurizer):
+    def test_proposals_replaced_and_flagged(self, ours, header,
+                                            train_records, featurizer):
         adapted = pipeline.adapt_records(ours.model.rpn, train_records[:3],
                                          featurizer)
         for before, after in zip(train_records, adapted):
             assert after.image_id == before.image_id
             assert after.gt_objects is before.gt_objects
-            assert after.proposals
-            assert all(p.source == "adapted" for p in after.proposals)
-            assert all(not p.is_gt for p in after.proposals)
+            assert len(after.proposal_boxes)
+            assert after.proposal_source == "adapted"
+            assert not after.proposal_is_gt.any()
+            after.validate(header)
 
     def test_features_come_from_the_featurizer(self, ours, train_records,
                                                featurizer):
         record = train_records[0]
         adapted = pipeline.adapt_records(ours.model.rpn, [record],
                                          featurizer)[0]
-        probe = adapted.proposals[0]
-        want = featurizer.detection(record.image_id, [probe.box])[0]
-        assert np.array_equal(probe.feature, want)
+        probe = Box.from_array(adapted.proposal_boxes[0])
+        want = featurizer.detection(record.image_id, [probe])[0]
+        assert np.array_equal(adapted.proposal_features[0], want)
 
     def test_one_featurizer_call_per_record(self, ours, train_records,
                                             featurizer, monkeypatch):
@@ -313,8 +314,7 @@ class TestAdaptRecords:
                                          featurizer)
         assert len(calls) == 3
         for rows, record in zip(calls, adapted):
-            features = np.stack([p.feature for p in record.proposals])
-            assert np.array_equal(rows, features)
+            assert np.array_equal(rows, record.proposal_features)
 
 
 class TestIncrementalTrainer:
@@ -436,51 +436,6 @@ class TestSimulateStream:
                                      config)
 
 
-class TestCrossValidate:
-    def test_singleton_grid_returns_it(self, header, train_records,
-                                       test_records, config, featurizer):
-        choices = quiet_train(pipeline.cross_validate, header,
-                              train_records, test_records, config,
-                              sigmas=(5.0,), lams=(1e-5,),
-                              featurizer=featurizer)
-        for module in ("rpn", "detection", "segmentation"):
-            assert choices[module]["sigma"] == 5.0
-            assert choices[module]["lam"] == 1e-5
-            assert 0.0 <= choices[module]["score"] <= 1.0
-
-    def test_ties_prefer_larger_lam(self, header, train_records,
-                                    test_records, config, featurizer):
-        # noise-free data scores perfectly for both candidates
-        choices = quiet_train(pipeline.cross_validate, header,
-                              train_records, test_records, config,
-                              sigmas=(5.0,), lams=(1e-5, 1e-3),
-                              featurizer=featurizer)
-        assert choices["detection"]["lam"] == 1e-3
-        assert choices["segmentation"]["lam"] == 1e-3
-
-    def test_empty_grid_rejected(self, header, train_records, test_records,
-                                 config):
-        with pytest.raises(ValueError, match="grid"):
-            pipeline.cross_validate(header, train_records, test_records,
-                                    config, sigmas=(), lams=(1e-5,))
-
-    def test_overlapping_split_rejected(self, header, train_records,
-                                        config):
-        with pytest.raises(ValueError, match="split"):
-            pipeline.cross_validate(header, train_records, train_records,
-                                    config, sigmas=(5.0,), lams=(1e-5,))
-
-    def test_apply_choices(self, config):
-        choices = {"rpn": {"sigma": 1.0, "lam": 0.1, "score": 1.0},
-                   "detection": {"sigma": 2.0, "lam": 0.2, "score": 1.0},
-                   "segmentation": {"sigma": 3.0, "lam": 0.3, "score": 1.0}}
-        updated = pipeline.apply_choices(config, choices)
-        assert (updated.rpn_sigma, updated.rpn_lam) == (1.0, 0.1)
-        assert (updated.detection_sigma, updated.detection_lam) == (2.0, 0.2)
-        assert (updated.segmentation_sigma,
-                updated.segmentation_lam) == (3.0, 0.3)
-
-
 class TestInfer:
     def test_single_object_images(self):
         # single isolated object per image; the finer mask lattice keeps
@@ -543,8 +498,8 @@ class TestFeaturizer:
 
     def test_matches_stored_gt_features(self, test_records, featurizer):
         record = test_records[0]
-        for proposal in record.proposals:
-            if not proposal.is_gt:
-                continue
-            want = featurizer.detection(record.image_id, [proposal.box])[0]
-            assert np.allclose(proposal.feature, want)
+        assert record.proposal_is_gt.any()
+        for box, feature in zip(record.proposal_boxes[record.proposal_is_gt],
+                                record.proposal_features[record.proposal_is_gt]):
+            want = featurizer.detection(record.image_id, [Box.from_array(box)])[0]
+            assert np.allclose(feature, want)
