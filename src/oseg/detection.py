@@ -14,7 +14,7 @@ several classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,12 @@ from .geometry import (Box, apply_targets, box_array, encode_targets,
                        iou_matrix, nms)
 from .incremental import DetectionReservoir, UntrainableClassError
 from .kernels import train_rls
-from .minibootstrap import BootstrapConfig, run_minibootstrap
+from .minibootstrap import run_minibootstrap
+
+# labeling policy: classification sides and the regression ridge
+POS_IOU = 0.6
+NEG_IOU = 0.3
+REG_LAM = 1e-6
 
 
 @dataclass(frozen=True)
@@ -38,15 +43,6 @@ class DetectionConfig:
             raise ValueError("max_detections must be >= 1")
         if not 0.0 <= self.nms_iou <= 1.0:
             raise ValueError("nms_iou must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class DetectionTrainConfig:
-    bootstrap: BootstrapConfig = field(default_factory=BootstrapConfig)
-    pos_iou: float = 0.6
-    neg_iou: float = 0.3
-    reg_lam: float = 1e-6
-    inference: DetectionConfig = field(default_factory=DetectionConfig)
 
 
 @dataclass
@@ -74,7 +70,7 @@ class Detection:
     proposal_index: int
 
 
-def detection_labeler(class_ids, pos_iou: float = 0.6, neg_iou: float = 0.3):
+def detection_labeler(class_ids):
     """Per-record labeler keyed by class id.
 
     Yields ``{n: (positives, negatives, reg_features, reg_targets)}``.
@@ -96,25 +92,47 @@ def detection_labeler(class_ids, pos_iou: float = 0.6, neg_iou: float = 0.3):
                 continue
             overlap = iou_matrix(boxes, gts)
             best = overlap.max(axis=1)
-            sel = best > pos_iou
+            sel = best > POS_IOU
             positives, targets = features[sel], ()
             if sel.any():
                 targets = encode_targets(boxes[sel], gts[overlap[sel].argmax(axis=1)])
-            out[n] = (positives, features[best < neg_iou], positives, targets)
+            out[n] = (positives, features[best < NEG_IOU], positives, targets)
         return out
 
     return labeler
 
 
+def detection_incremental_update(
+    reservoir: DetectionReservoir,
+    records,
+    class_ids,
+    new_class_ids=(),
+) -> None:
+    """Absorb a sequence into the detection reservoir.
+
+    ``class_ids`` is the full set trained after this update; classes in
+    ``new_class_ids`` must not exist in the reservoir yet and must find
+    at least one positive in the new sequence.
+    """
+    new_class_ids = tuple(new_class_ids)
+    clash = [c for c in new_class_ids if c in reservoir.keys()]
+    if clash:
+        raise ValueError(f"classes already in the reservoir: {clash}")
+    reservoir.update(records, detection_labeler(class_ids))
+    starved = [c for c in new_class_ids if reservoir.positives[c].shape[0] == 0]
+    if starved:
+        raise UntrainableClassError(starved, context="new classes")
+
+
 def train_detection_from_reservoir(
     reservoir: DetectionReservoir,
-    config: DetectionTrainConfig,
     seed,
 ) -> OnlineDetectionModel:
     """Mine per-class classifiers from the reservoir and fit regressors.
 
     Unlike the proposal module, a class that cannot be trained is an
-    error: callers asked for it by name.
+    error: callers asked for it by name.  The model keeps the default
+    inference settings.
     """
     pool = reservoir.to_pool()
     starved = pool.untrainable_keys()
@@ -124,13 +142,13 @@ def train_detection_from_reservoir(
     if result.failures:
         raise RuntimeError(f"detection training failed: {result.failures}")
     regressors = {
-        n: train_rls(reservoir.reg_features[n], reservoir.reg_targets[n], config.reg_lam)
+        n: train_rls(reservoir.reg_features[n], reservoir.reg_targets[n], REG_LAM)
         for n in result.classifiers
     }
     return OnlineDetectionModel(
         classifiers=result.classifiers,
         regressors=regressors,
-        config=config.inference,
+        config=DetectionConfig(),
     )
 
 

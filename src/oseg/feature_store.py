@@ -287,13 +287,19 @@ def write_dataset(path, header: DatasetHeader, records: Iterable[FeatureRecord])
     """Write header and records; returns the record count.
 
     Records are validated against the header before anything is written
-    for them, so a failure leaves a prefix of valid records.
+    for them, so a failure leaves a prefix of valid records.  The source
+    is stored per proposal, so a record without proposals reads back as
+    "stored"; one from another source is refused.
     """
     count = 0
     with open(path, "wb") as fh:
         binio.write_preamble(fh, DATASET_MAGIC, DATASET_VERSION, header.to_json())
         for record in records:
             record.validate(header)
+            if not len(record.proposal_boxes) and record.proposal_source != "stored":
+                raise ValueError(
+                    f"record {record.image_id}: a record without proposals "
+                    f"cannot keep source {record.proposal_source!r} on disk")
             binio.write_block(fh, _pack_record(record))
             count += 1
     return count

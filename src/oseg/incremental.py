@@ -18,14 +18,13 @@ all proposal features of the image.  When a class has no recorded
 negatives for some image (in particular on images that predate the
 class), the buffer stands in for them at training time.
 
-Each module has one labeler that yields, per record and key, the
-classification positives and negatives together with the box-offset
-regression samples, so a record is labeled once per module.  The one
-training core of :mod:`oseg.pipeline` fills the reservoirs through
-:func:`rpn_incremental_update` and :func:`detection_incremental_update`
-for both batch protocols and for every incremental sequence.  It updates
-forks (:meth:`SampleReservoir.fork`), so a sequence that fails to train
-leaves the reservoirs it started from unchanged.
+A reservoir is filled through a labeler that yields, per record and
+key, the classification positives and negatives together with the
+box-offset regression samples, so a record is labeled once per module;
+each head module owns its labeler.  The one training core of
+:mod:`oseg.pipeline` updates forks (:meth:`SampleReservoir.fork`), so a
+sequence that fails to train leaves the reservoirs it started from
+unchanged.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from operator import attrgetter
 
 import numpy as np
 from scipy.stats import chisquare
@@ -126,13 +124,12 @@ class SampleReservoir:
         )
 
     def _require_new_ids(self, records) -> list:
+        ids = [record.image_id for record in records]
         seen = set(self.image_ids)
-        ids = []
-        for position, record in enumerate(records):
-            image_id = getattr(record, "image_id", self.num_images + position)
-            if image_id in seen or image_id in ids:
+        for image_id in ids:
+            if image_id in seen:
                 raise ValueError(f"image id {image_id!r} ingested twice")
-            ids.append(image_id)
+            seen.add(image_id)
         return ids
 
     def _downsample_old(self, quota: int, t: int) -> None:
@@ -202,9 +199,7 @@ class SampleReservoir:
         """Materialize the minibootstrap stage-1 pool."""
         if self.num_images < 1:
             raise ValueError("reservoir holds no images yet")
-        pool = NegativePool(
-            feature_dim=self.feature_dim or 0, num_images=self.num_images
-        )
+        pool = NegativePool()
         for key in self.positives:
             pool.positives[key] = self.positives[key]
             pool.negatives[key] = [
@@ -222,23 +217,20 @@ class RpnReservoir(SampleReservoir):
 class DetectionReservoir(SampleReservoir):
     """Per-class reservoir with per-image fallback buffers.
 
-    ``buffers[image_id]`` holds a quota-bounded sample of all proposal
-    features of that image; it substitutes for a class's negatives on
-    any image whose recorded list is empty (images without that class's
-    objects, and all images older than the class).
+    ``buffers[image_id]`` holds a quota-bounded sample of the
+    ``proposal_features`` of that image; it substitutes for a class's
+    negatives on any image whose recorded list is empty (images without
+    that class's objects, and all images older than the class).
     """
 
     buffers: dict = field(default_factory=dict)
 
-    def update(self, records, labeler, buffer_extractor=None):
-        """Absorb one sequence; ``buffer_extractor(record)`` gives the rows
-        each new image's buffer is drawn from."""
-        if buffer_extractor is None:
-            raise ValueError("detection updates need a buffer_extractor")
+    def update(self, records, labeler) -> None:
+        """Absorb one sequence, drawing each new image's buffer first."""
         records, new_ids, quota = self._start(records)
         for image_id, record in zip(new_ids, records):
             rows, self.feature_dim = _as_features(
-                buffer_extractor(record), self.feature_dim
+                record.proposal_features, self.feature_dim
             )
             self.buffers[image_id] = subsample_rows(
                 rows, quota, rng_for(self.seed, "buffer", image_id)
@@ -257,50 +249,6 @@ class DetectionReservoir(SampleReservoir):
         if stored.shape[0]:
             return stored
         return self.buffers[image_id]
-
-
-def rpn_incremental_update(
-    reservoir: RpnReservoir,
-    records,
-    grid,
-    pos_iou: float = 0.7,
-    neg_iou: float = 0.3,
-    reg_iou: float = 0.7,
-) -> None:
-    """Absorb a sequence into the proposal-module reservoir."""
-    from . import rpn  # late import keeps the module layers acyclic
-
-    reservoir.update(records, rpn.rpn_labeler(grid, pos_iou, neg_iou, reg_iou))
-
-
-def detection_incremental_update(
-    reservoir: DetectionReservoir,
-    records,
-    class_ids,
-    new_class_ids=(),
-    pos_iou: float = 0.6,
-    neg_iou: float = 0.3,
-) -> None:
-    """Absorb a sequence into the detection reservoir.
-
-    ``class_ids`` is the full set trained after this update; classes in
-    ``new_class_ids`` must not exist in the reservoir yet and must find
-    at least one positive in the new sequence.
-    """
-    from . import detection  # late import keeps the module layers acyclic
-
-    new_class_ids = tuple(new_class_ids)
-    clash = [c for c in new_class_ids if c in reservoir.keys()]
-    if clash:
-        raise ValueError(f"classes already in the reservoir: {clash}")
-    reservoir.update(
-        records,
-        detection.detection_labeler(class_ids, pos_iou, neg_iou),
-        buffer_extractor=attrgetter("proposal_features"),
-    )
-    starved = [c for c in new_class_ids if reservoir.positives[c].shape[0] == 0]
-    if starved:
-        raise UntrainableClassError(starved, context="new classes")
 
 
 @dataclass(frozen=True)

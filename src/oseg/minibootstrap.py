@@ -80,8 +80,6 @@ class NegativePool:
 
     positives: dict = field(default_factory=dict)
     negatives: dict = field(default_factory=dict)
-    feature_dim: int = 0
-    num_images: int = 0
 
     def keys(self):
         return self.positives.keys()

@@ -26,17 +26,16 @@ import numpy as np
 import scipy
 
 import oseg
-from oseg.detection import (DetectionTrainConfig, detect,
+from oseg.detection import (detect, detection_incremental_update,
                             train_detection_from_reservoir)
 from oseg.evaluation import InstancePrediction
 from oseg.feature_store import DatasetHeader
 from oseg.geometry import box_array
-from oseg.incremental import (DetectionReservoir, RpnReservoir,
-                              detection_incremental_update,
-                              rpn_incremental_update)
+from oseg.incremental import DetectionReservoir, RpnReservoir
 from oseg.minibootstrap import BootstrapConfig
 from oseg.model_io import PipelineModel
-from oseg.rpn import RpnTrainConfig, propose, train_rpn_from_reservoir
+from oseg.rpn import (propose, rpn_incremental_update,
+                      train_rpn_from_reservoir)
 from oseg.seeding import rng_for
 from oseg.segmentation import (SegmentationConfig, extend_segmentation,
                                predict_mask, train_online_segmentation)
@@ -104,33 +103,6 @@ class ProtocolConfig:
         return ProtocolConfig(**tree)
 
 
-@dataclass(frozen=True)
-class ModuleConfigs:
-    rpn: RpnTrainConfig
-    detection: DetectionTrainConfig
-    segmentation: SegmentationConfig
-
-
-def module_configs(config: ProtocolConfig) -> ModuleConfigs:
-    """Expand the flat run config into the three module train configs."""
-    def pool(centers, sigma, lam):
-        return BootstrapConfig(num_batches=config.num_batches,
-                               batch_size=config.batch_size,
-                               num_centers=centers, sigma=sigma, lam=lam)
-
-    return ModuleConfigs(
-        rpn=RpnTrainConfig(bootstrap=pool(config.rpn_centers,
-                                          config.rpn_sigma, config.rpn_lam)),
-        detection=DetectionTrainConfig(
-            bootstrap=pool(config.detection_centers, config.detection_sigma,
-                           config.detection_lam)),
-        segmentation=SegmentationConfig(
-            num_centers=config.segmentation_centers,
-            sigma=config.segmentation_sigma, lam=config.segmentation_lam,
-            subsample=config.pixel_fraction),
-    )
-
-
 def _module_seed(seed: int, tag: str) -> int:
     """Stable per-module child seed, independent of module call order."""
     return int(rng_for(seed, "module", tag).integers(0, 2**32))
@@ -159,9 +131,6 @@ class TimingLedger:
         self.phases.append(TimingPhase(name, float(seconds), overlappable))
         if extraction:
             self.extraction_passes += 1
-
-    def seconds(self, name: str) -> float:
-        return sum(p.seconds for p in self.phases if p.name == name)
 
     def total_seconds(self) -> float:
         return sum(p.seconds for p in self.phases)
@@ -194,8 +163,6 @@ def _timed(ledger: TimingLedger, name: str, overlappable: bool = False,
 class TrainResult:
     model: PipelineModel
     ledger: TimingLedger
-    proposal_source: str
-    adapted_image_ids: frozenset = frozenset()
 
 
 class WorldFeaturizer:
@@ -272,10 +239,17 @@ def _check_sources(records, expected: str) -> None:
 
 
 def _fresh_reservoirs(config: ProtocolConfig) -> tuple:
-    configs = module_configs(config)
-    return (RpnReservoir(config=configs.rpn.bootstrap,
+    def pool(centers, sigma, lam):
+        return BootstrapConfig(num_batches=config.num_batches,
+                               batch_size=config.batch_size,
+                               num_centers=centers, sigma=sigma, lam=lam)
+
+    return (RpnReservoir(config=pool(config.rpn_centers, config.rpn_sigma,
+                                     config.rpn_lam),
                          seed=_module_seed(config.seed, "rpn")),
-            DetectionReservoir(config=configs.detection.bootstrap,
+            DetectionReservoir(config=pool(config.detection_centers,
+                                           config.detection_sigma,
+                                           config.detection_lam),
                                seed=_module_seed(config.seed, "detection")))
 
 
@@ -297,25 +271,18 @@ def _train_core(header: DatasetHeader, records, config: ProtocolConfig,
     Returns ``((rpn_reservoir, detection_reservoir), (rpn, detection,
     segmentation))``.
     """
-    configs = module_configs(config)
     rpn_reservoir, det_reservoir = (r.fork() for r in reservoirs)
 
     def fill_detection(records):
         detection_incremental_update(det_reservoir, records, class_ids,
-                                     new_class_ids=new_class_ids,
-                                     pos_iou=configs.detection.pos_iou,
-                                     neg_iou=configs.detection.neg_iou)
+                                     new_class_ids)
 
     with _timed(ledger, EXTRACTION_1, overlappable=True, extraction=True):
-        rpn_incremental_update(rpn_reservoir, records, header.grid,
-                               pos_iou=configs.rpn.pos_iou,
-                               neg_iou=configs.rpn.neg_iou,
-                               reg_iou=configs.rpn.reg_iou)
+        rpn_incremental_update(rpn_reservoir, records, header.grid)
         if featurizer is None:
             fill_detection(records)
     with _timed(ledger, RPN_TRAINING):
         rpn_model = train_rpn_from_reservoir(rpn_reservoir, header.grid,
-                                             configs.rpn,
                                              _module_seed(config.seed, "rpn"))
     if featurizer is not None:
         with _timed(ledger, EXTRACTION_2, extraction=True):
@@ -327,17 +294,19 @@ def _train_core(header: DatasetHeader, records, config: ProtocolConfig,
             # reservoir from them counts as detection training
             fill_detection(records)
         det_model = train_detection_from_reservoir(
-            det_reservoir, configs.detection,
-            _module_seed(config.seed, "detection"))
+            det_reservoir, _module_seed(config.seed, "detection"))
     with _timed(ledger, SEGMENTATION_TRAINING):
+        seg_config = SegmentationConfig(
+            num_centers=config.segmentation_centers,
+            sigma=config.segmentation_sigma, lam=config.segmentation_lam,
+            subsample=config.pixel_fraction)
         seg_seed = _module_seed(config.seed, "segmentation")
         if segmentation is None:
             segmentation = train_online_segmentation(
-                records, new_class_ids, configs.segmentation, seg_seed)
+                records, new_class_ids, seg_config, seg_seed)
         else:
             segmentation = extend_segmentation(
-                segmentation, records, new_class_ids, configs.segmentation,
-                seg_seed)
+                segmentation, records, new_class_ids, seg_config, seg_seed)
     return (rpn_reservoir, det_reservoir), (rpn_model, det_model,
                                             segmentation)
 
@@ -353,11 +322,7 @@ def _train_once(header: DatasetHeader, records, config: ProtocolConfig,
                            featurizer=featurizer)
     manifest = build_manifest(config, header, len(records), dataset_hash)
     model = PipelineModel(header.class_names, *heads, manifest=manifest)
-    if featurizer is None:
-        return TrainResult(model, ledger, proposal_source="stored")
-    return TrainResult(model, ledger, proposal_source="adapted",
-                       adapted_image_ids=frozenset(r.image_id
-                                                   for r in records))
+    return TrainResult(model, ledger)
 
 
 def train_ours(header: DatasetHeader, records, config: ProtocolConfig,
@@ -437,20 +402,18 @@ class IncrementalTrainer:
         self.num_records = 0
         self.sequences = 0
 
-    def add_sequence(self, records, new_class_ids=None) -> TrainResult:
+    def add_sequence(self, records) -> TrainResult:
         """Ingest one sequence and return the retrained pipeline.
 
-        ``new_class_ids`` defaults to the classes present in the records
-        that the model has not seen yet.  A sequence that fails to train
-        leaves the trainer as it was.
+        The classes present in the records that the model has not seen
+        yet are added.  A sequence that fails to train leaves the trainer
+        as it was.
         """
         ledger = TimingLedger()
         records = _materialize(records, ledger)
         _check_sources(records, "stored")
-        if new_class_ids is None:
-            seen = {g.class_id for r in records for g in r.gt_objects}
-            new_class_ids = sorted(seen - set(self.class_ids))
-        new_class_ids = tuple(new_class_ids)
+        seen = {g.class_id for r in records for g in r.gt_objects}
+        new_class_ids = tuple(sorted(seen - set(self.class_ids)))
         class_ids = tuple(sorted(set(self.class_ids) | set(new_class_ids)))
         reservoirs, heads = _train_core(
             self.header, records, self.config, ledger,
@@ -467,7 +430,7 @@ class IncrementalTrainer:
         manifest["sequences"] = self.sequences
         model = PipelineModel(self.header.class_names, *heads,
                               manifest=manifest)
-        return TrainResult(model, ledger, proposal_source="stored")
+        return TrainResult(model, ledger)
 
 
 def train_incremental(header: DatasetHeader, sequences,

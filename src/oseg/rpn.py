@@ -5,7 +5,7 @@ network are replaced by A kernel classifiers and A four-output ridge
 regressor banks, one pair per anchor shape, all reading the same
 unrolled location features.  Classifiers are trained with the
 hard-negative bootstrapping loop; regressors fit anchor-to-box offsets
-on locations whose anchor overlaps a ground truth at IoU >= 0.6.
+on locations whose anchor overlaps a ground truth at IoU >= 0.7.
 
 At inference every (location, shape) pair is scored, its anchor box is
 refined by the shape's regressor, and the survivors of score ranking
@@ -30,7 +30,13 @@ from .geometry import (
 )
 from .incremental import RpnReservoir
 from .kernels import train_rls
-from .minibootstrap import BootstrapConfig, run_minibootstrap
+from .minibootstrap import run_minibootstrap
+
+# labeling policy: classification sides, regression overlap, ridge
+POS_IOU = 0.7
+NEG_IOU = 0.3
+REG_IOU = 0.7
+REG_LAM = 1e-6
 
 
 @dataclass(frozen=True)
@@ -46,16 +52,6 @@ class ProposalConfig:
             raise ValueError("top-k limits must be >= 1")
         if not 0.0 <= self.nms_iou <= 1.0:
             raise ValueError("nms_iou must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class RpnTrainConfig:
-    bootstrap: BootstrapConfig = field(default_factory=BootstrapConfig)
-    pos_iou: float = 0.7
-    neg_iou: float = 0.3
-    reg_iou: float = 0.7
-    reg_lam: float = 1e-6
-    proposals: ProposalConfig = field(default_factory=ProposalConfig)
 
 
 @dataclass
@@ -88,16 +84,11 @@ def _location_features(record, grid: AnchorGrid) -> np.ndarray:
     return record.rpn_map.reshape(grid.num_locations, -1)
 
 
-def rpn_labeler(
-    grid: AnchorGrid,
-    pos_iou: float = 0.7,
-    neg_iou: float = 0.3,
-    reg_iou: float = 0.7,
-):
+def rpn_labeler(grid: AnchorGrid):
     """Per-record labeler keyed by anchor-shape index.
 
     Yields ``{a: (positives, negatives, reg_features, reg_targets)}``.
-    Only anchors genuinely overlapping a ground truth (IoU >= reg_iou)
+    Only anchors genuinely overlapping a ground truth (IoU >= REG_IOU)
     give offset-regression samples; low-overlap anchors promoted to
     classification positives as a fallback are excluded, since their
     offsets are outliers.
@@ -106,12 +97,12 @@ def rpn_labeler(
     def labeler(record):
         feats = _location_features(record, grid)
         gts = box_array(g.box for g in record.gt_objects)
-        labels, best_gt, best_iou = label_anchors(grid.anchor_boxes, gts, pos_iou, neg_iou)
+        labels, best_gt, best_iou = label_anchors(grid.anchor_boxes, gts, POS_IOU, NEG_IOU)
         out = {}
         for a in range(grid.num_shapes):
             shape = slice(a, None, grid.num_shapes)
             shape_labels = labels[shape]
-            sel = best_iou[shape] >= reg_iou
+            sel = best_iou[shape] >= REG_IOU
             targets = ()
             if sel.any():
                 targets = encode_targets(grid.anchor_boxes[shape][sel], gts[best_gt[shape][sel]])
@@ -121,18 +112,22 @@ def rpn_labeler(
     return labeler
 
 
+def rpn_incremental_update(reservoir: RpnReservoir, records, grid) -> None:
+    """Absorb a sequence into the proposal-module reservoir."""
+    reservoir.update(records, rpn_labeler(grid))
+
+
 def train_rpn_from_reservoir(
     reservoir: RpnReservoir,
     grid: AnchorGrid,
-    config: RpnTrainConfig,
     seed,
 ) -> OnlineRpnModel:
     """Mine classifiers from the reservoir pool and fit regressor banks.
 
     Batch layout and kernel hyper-parameters come from the reservoir's
-    own bootstrap config; ``config`` supplies the regression ridge and
-    the inference settings.  Untrainable shapes are skipped with a
-    warning and recorded on the model.
+    own bootstrap config; the model keeps the default inference
+    settings.  Untrainable shapes are skipped with a warning and
+    recorded on the model.
     """
     pool = reservoir.to_pool()
     result = run_minibootstrap(pool, reservoir.config, seed)
@@ -141,12 +136,12 @@ def train_rpn_from_reservoir(
     regressors = {}
     for key, x in reservoir.reg_features.items():
         if key in result.classifiers and x.shape[0]:
-            regressors[key] = train_rls(x, reservoir.reg_targets[key], config.reg_lam)
+            regressors[key] = train_rls(x, reservoir.reg_targets[key], REG_LAM)
     return OnlineRpnModel(
         grid=grid,
         classifiers=result.classifiers,
         regressors=regressors,
-        config=config.proposals,
+        config=ProposalConfig(),
         failures=result.failures,
     )
 

@@ -7,17 +7,13 @@ import pytest
 
 from oseg.detection import (
     DetectionConfig,
-    DetectionTrainConfig,
     detect,
+    detection_incremental_update,
     detection_labeler,
     train_detection_from_reservoir,
 )
 from oseg.geometry import Box, iou
-from oseg.incremental import (
-    DetectionReservoir,
-    UntrainableClassError,
-    detection_incremental_update,
-)
+from oseg.incremental import DetectionReservoir, UntrainableClassError
 from oseg.minibootstrap import BootstrapConfig
 from oseg.synthetic import SyntheticWorld
 
@@ -55,30 +51,23 @@ def tags_of(rows):
     return set(int(v) for v in np.atleast_2d(rows)[:, 0]) if rows.size else set()
 
 
-def train_config(sigma=0.5, lam=1e-4, threshold=0.0):
-    return DetectionTrainConfig(
-        bootstrap=BootstrapConfig(
-            num_batches=4, batch_size=300, num_centers=200, sigma=sigma, lam=lam
-        ),
-        inference=DetectionConfig(score_threshold=threshold),
-    )
+SMALL_POOL = BootstrapConfig(num_batches=4, batch_size=300, num_centers=200,
+                             sigma=0.5, lam=1e-4)
 
 
 def fill_reservoir(records, class_ids, config=None, seed=0):
     """Ingest one sequence in which every class is new."""
-    config = config or DetectionTrainConfig()
-    reservoir = DetectionReservoir(config=config.bootstrap, seed=seed)
-    detection_incremental_update(
-        reservoir, records, class_ids, new_class_ids=class_ids,
-        pos_iou=config.pos_iou, neg_iou=config.neg_iou,
-    )
+    reservoir = DetectionReservoir(config=config or BootstrapConfig(), seed=seed)
+    detection_incremental_update(reservoir, records, class_ids, new_class_ids=class_ids)
     return reservoir
 
 
-def train_detector(records, class_ids, config, seed):
-    """The training core's detector path on one sequence."""
-    reservoir = fill_reservoir(records, class_ids, config, seed)
-    return train_detection_from_reservoir(reservoir, config, seed)
+def train_detector(records, class_ids, seed, threshold=0.0):
+    """The training core's detector path on one sequence, with the given
+    score threshold."""
+    reservoir = fill_reservoir(records, class_ids, SMALL_POOL, seed)
+    model = train_detection_from_reservoir(reservoir, seed)
+    return dataclasses.replace(model, config=DetectionConfig(score_threshold=threshold))
 
 
 class TestLabeling:
@@ -165,7 +154,7 @@ def world_and_records(seed, class_names=("a", "b", "c"), n=25, **kw):
 class TestTraining:
     def test_classifiers_separate_their_class(self):
         world, records = world_and_records(1, max_objects=2)
-        model = train_detector(records, [0, 1, 2], train_config(), seed=0)
+        model = train_detector(records, [0, 1, 2], seed=0)
         assert model.class_ids == (0, 1, 2)
         for record in list(world.generate(6, start_id=100)):
             for gt in record.gt_objects:
@@ -182,22 +171,22 @@ class TestTraining:
 
     def test_same_seed_reproducible(self):
         _, records = world_and_records(3, n=10, max_objects=1)
-        a = train_detector(records, [0, 1, 2], train_config(), seed=7)
-        b = train_detector(records, [0, 1, 2], train_config(), seed=7)
+        a = train_detector(records, [0, 1, 2], seed=7)
+        b = train_detector(records, [0, 1, 2], seed=7)
         for n in a.classifiers:
             np.testing.assert_array_equal(a.classifiers[n].weights, b.classifiers[n].weights)
 
     def test_missing_class_fails_loudly(self):
         _, records = world_and_records(4, n=8, max_objects=1, active_classes=[0, 1])
         with pytest.raises(UntrainableClassError) as info:
-            train_detector(records, [0, 1, 2], train_config(), seed=0)
+            train_detector(records, [0, 1, 2], seed=0)
         assert 2 in info.value.keys
 
 
 class TestDetect:
     def setup_method(self):
         self.world, records = world_and_records(5, n=30, max_objects=2)
-        self.model = train_detector(records, [0, 1, 2], train_config(), seed=0)
+        self.model = train_detector(records, [0, 1, 2], seed=0)
         self.test_records = list(self.world.generate(8, start_id=200))
 
     def test_every_object_found_with_right_class(self):
@@ -209,13 +198,12 @@ class TestDetect:
                 assert hits[0].class_id == gt.class_id
 
     def test_output_sorted_and_capped(self):
-        capped = train_config()
         model = self.model
         for record in self.test_records:
             detections = detect(model, record)
             scores = [d.score for d in detections]
             assert scores == sorted(scores, reverse=True)
-            assert len(detections) <= capped.inference.max_detections
+            assert len(detections) <= model.config.max_detections
 
     def test_per_class_suppression(self):
         for record in self.test_records:
@@ -236,8 +224,8 @@ class TestDetect:
         model = train_detector(
             list(self.world.generate(10, start_id=300)),
             [0, 1, 2],
-            train_config(threshold=1e9),
             seed=0,
+            threshold=1e9,
         )
         assert detect(model, self.test_records[0]) == []
 

@@ -1,8 +1,7 @@
 """Average-precision scoring: hand-traced values, a rational-arithmetic
 oracle, and the invariants the report must keep."""
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np

@@ -306,6 +306,27 @@ def test_validation_rejects_bad_map_shape(tmp_path):
         write_dataset(tmp_path / "d.oseg", world.header(), [bad])
 
 
+def test_record_without_proposals_keeps_its_source_or_is_refused(tmp_path):
+    # the file stores the source per proposal: with none listed, a record
+    # reads back as "stored", so any other source cannot be written
+    world = small_world()
+    header, path = world.header(), tmp_path / "d.oseg"
+    record = world.render_record(3)
+    adapted = dataclasses.replace(record, proposal_source="adapted")
+    write_dataset(path, header, [adapted])
+    assert records_equal(load_dataset(path)[1][0], adapted)
+    empty = dataclasses.replace(
+        record,
+        proposal_boxes=record.proposal_boxes[:0],
+        proposal_features=record.proposal_features[:0],
+        proposal_is_gt=record.proposal_is_gt[:0],
+    )
+    write_dataset(path, header, [empty])
+    assert records_equal(load_dataset(path)[1][0], empty)
+    with pytest.raises(ValueError, match="record 3"):
+        write_dataset(path, header, [dataclasses.replace(empty, proposal_source="adapted")])
+
+
 def test_header_round_trip_json():
     header = DatasetHeader(
         class_names=("a", "b"),

@@ -8,9 +8,9 @@ from oseg.incremental import (
     RpnReservoir,
     SampleReservoir,
     UntrainableClassError,
-    detection_incremental_update,
     sampling_equivalence_test,
 )
+from oseg.detection import detection_incremental_update
 from oseg.minibootstrap import (
     BootstrapConfig,
     NegativePool,
@@ -28,10 +28,10 @@ def tagged_rows(image_index, count, width=4):
 
 
 class FakeRecord:
-    def __init__(self, image_id, labeled, proposals_rows=None):
+    def __init__(self, image_id, labeled, proposal_features=None):
         self.image_id = image_id
         self.labeled = labeled
-        self.proposals_rows = proposals_rows
+        self.proposal_features = proposal_features
 
 
 def dict_labeler(record):
@@ -45,7 +45,7 @@ def one_shot_pool(records, labeler, config, seed) -> NegativePool:
     so one update of an empty reservoir must reproduce this pool.
     """
     quota = per_image_quota(config.num_batches, config.batch_size, len(records))
-    pool = NegativePool(num_images=len(records))
+    pool = NegativePool()
     for record in records:
         for key, (pos, neg, _, _) in labeler(record).items():
             pool.positives.setdefault(key, []).append(pos)
@@ -123,7 +123,7 @@ class TestReservoirBookkeeping:
         res.update(records, dict_labeler)
         pool = res.to_pool()
         batch = one_shot_pool(records, dict_labeler, config, seed=11)
-        assert pool.num_images == batch.num_images
+        assert all(len(lists) == len(records) for lists in pool.negatives.values())
         assert set(pool.keys()) == set(batch.keys())
         for key in batch.keys():
             np.testing.assert_array_equal(pool.positives[key], batch.positives[key])
@@ -155,7 +155,7 @@ class TestReservoirBookkeeping:
             res.update([], dict_labeler)
         res = DetectionReservoir(config=small_config(), seed=0)
         with pytest.raises(ValueError, match="at least one record"):
-            res.update([], dict_labeler, buffer_extractor=lambda r: r.proposals_rows)
+            res.update([], dict_labeler)
 
     def test_feature_width_change_rejected(self):
         res = SampleReservoir(config=small_config(), seed=0)
@@ -202,17 +202,14 @@ class TestDetectionBuffers:
             pos = tagged_rows(i, 1) + 500 if present else np.empty((0, 4))
             neg = tagged_rows(i, 12) if present else np.empty((0, 4))
             records.append(
-                FakeRecord(i, {0: (pos, neg, (), ())}, proposals_rows=tagged_rows(i, 20) - 100)
+                FakeRecord(i, {0: (pos, neg, (), ())}, proposal_features=tagged_rows(i, 20) - 100)
             )
         return records
-
-    def extractor(self, record):
-        return record.proposals_rows
 
     def test_buffer_substitutes_when_class_absent(self):
         res = DetectionReservoir(config=small_config(4, 40), seed=0)
         records = self.make_detection_records(0, 10, with_class=lambda i: i < 5)
-        res.update(records, dict_labeler, buffer_extractor=self.extractor)
+        res.update(records, dict_labeler)
         pool = res.to_pool()
         for image_index in range(10):
             rows = pool.negatives[0][image_index]
@@ -227,13 +224,11 @@ class TestDetectionBuffers:
         res.update(
             self.make_detection_records(0, 10, with_class=lambda i: False),
             dict_labeler,
-            buffer_extractor=self.extractor,
         )
         first = {i: set(map(tuple, rows)) for i, rows in res.buffers.items()}
         res.update(
             self.make_detection_records(10, 30, with_class=lambda i: False),
             dict_labeler,
-            buffer_extractor=self.extractor,
         )
         quota = res.quota
         for image_id, original in first.items():
@@ -243,12 +238,12 @@ class TestDetectionBuffers:
     def test_fork_takes_updates_the_original_does_not(self):
         res = DetectionReservoir(config=small_config(4, 40), seed=0)
         records = self.make_detection_records(0, 5, with_class=lambda i: True)
-        res.update(records, dict_labeler, buffer_extractor=self.extractor)
+        res.update(records, dict_labeler)
         before = res.to_pool()
         buffers = dict(res.buffers)
         fork = res.fork()
         later = self.make_detection_records(5, 30, with_class=lambda i: i % 2)
-        fork.update(later, dict_labeler, buffer_extractor=self.extractor)
+        fork.update(later, dict_labeler)
         assert (fork.num_images, res.num_images) == (35, 5)
         assert res.image_ids == list(range(5))
         assert res.buffers.keys() == buffers.keys()
@@ -258,11 +253,6 @@ class TestDetectionBuffers:
         np.testing.assert_array_equal(after.positives[0], before.positives[0])
         for x, y in zip(after.negatives[0], before.negatives[0], strict=True):
             np.testing.assert_array_equal(x, y)
-
-    def test_update_requires_extractor(self):
-        res = DetectionReservoir(config=small_config(), seed=0)
-        with pytest.raises(ValueError, match="buffer_extractor"):
-            res.update(self.make_detection_records(0, 2, lambda i: True), dict_labeler)
 
 
 class TestEquivalence:

@@ -15,7 +15,6 @@ from scipy.spatial.distance import cdist
 import oseg.kernels as kernels
 from oseg.kernels import (
     KernelClassifier,
-    RlsRegressor,
     SolverError,
     gaussian_kernel,
     train_kernel_classifier,

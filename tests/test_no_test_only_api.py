@@ -1,4 +1,5 @@
-"""Every public name in ``src/oseg`` has a caller outside the tests.
+"""Every public name in ``src/oseg`` has a caller outside the tests, and
+no module imports a name it never uses.
 
 A public function, method or class counts as used when its name occurs
 anywhere in ``src/oseg``, ``demos/`` or ``perfbench/`` other than its own
@@ -73,3 +74,26 @@ def test_kept_names_exist_and_have_no_other_caller():
     assert set(KEPT) <= defined
     references = _non_test_references()
     assert not [name for name in KEPT if references[name]]
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # ``import a.b`` binds ``a``
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+
+
+def test_no_unused_imports():
+    unused = []
+    for folder in (SOURCE, ROOT / "tests", ROOT / "demos", ROOT / "perfbench"):
+        for path in sorted(folder.glob("*.py")):
+            tree = _parse(path)
+            used = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                       for name, line in _imported_names(tree)
+                       if name not in used]
+    assert not unused, f"imported but never used: {unused}"

@@ -11,10 +11,12 @@ from oseg import pipeline
 from oseg.evaluation import evaluate
 from oseg.geometry import Box, mask_iou
 from oseg.incremental import UntrainableClassError
+from oseg.minibootstrap import BootstrapConfig
 from oseg.model_io import classifier_bytes, model_bytes
 from oseg.pipeline import (ACQUISITION, BACKLOG, DETECTION_TRAINING,
                            EXTRACTION_1, EXTRACTION_2, ProtocolConfig,
                            TimingLedger, WorldFeaturizer, stream_residual)
+from oseg.segmentation import SegmentationConfig
 from oseg.synthetic import SyntheticWorld
 
 SMALL = dict(num_batches=2, batch_size=300, rpn_centers=150,
@@ -25,6 +27,22 @@ def small_world(**kw):
     defaults = dict(class_names=("a", "b", "c"), noise=0.0, seed=5)
     defaults.update(kw)
     return SyntheticWorld(**defaults)
+
+
+class RecordingFeaturizer(WorldFeaturizer):
+    """Records the image ids whose proposals it featurizes."""
+
+    def __init__(self, world):
+        super().__init__(world)
+        self.image_ids = []
+
+    def detection(self, image_id, boxes):
+        self.image_ids.append(image_id)
+        return super().detection(image_id, boxes)
+
+
+def phase_seconds(ledger, name):
+    return sum(p.seconds for p in ledger.phases if p.name == name)
 
 
 def quiet_train(fn, *args, **kw):
@@ -71,9 +89,15 @@ def ours(header, train_records, config):
 
 
 @pytest.fixture(scope="module")
-def serial(header, train_records, config, featurizer):
+def serial_featurizer(world):
+    return RecordingFeaturizer(world)
+
+
+@pytest.fixture(scope="module")
+def serial(header, train_records, config, serial_featurizer):
     return quiet_train(pipeline.train_ours_serial, header, train_records,
-                       config.replace(protocol="ours_serial"), featurizer)
+                       config.replace(protocol="ours_serial"),
+                       serial_featurizer)
 
 
 class TestProtocolConfig:
@@ -106,24 +130,6 @@ class TestProtocolConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(**kw)
 
-    def test_module_configs_expand_fields(self):
-        cfg = ProtocolConfig(num_batches=3, batch_size=77, rpn_centers=11,
-                             detection_centers=22, segmentation_centers=33,
-                             pixel_fraction=0.5, rpn_sigma=1.0, rpn_lam=0.1,
-                             detection_sigma=2.0, detection_lam=0.2,
-                             segmentation_sigma=3.0, segmentation_lam=0.3)
-        mods = pipeline.module_configs(cfg)
-        assert mods.rpn.bootstrap.num_batches == 3
-        assert mods.rpn.bootstrap.batch_size == 77
-        assert mods.rpn.bootstrap.num_centers == 11
-        assert (mods.rpn.bootstrap.sigma, mods.rpn.bootstrap.lam) == (1.0, 0.1)
-        assert mods.detection.bootstrap.num_centers == 22
-        assert (mods.detection.bootstrap.sigma,
-                mods.detection.bootstrap.lam) == (2.0, 0.2)
-        assert mods.segmentation.num_centers == 33
-        assert (mods.segmentation.sigma, mods.segmentation.lam) == (3.0, 0.3)
-        assert mods.segmentation.subsample == 0.5
-
 
 class TestTimingLedger:
     def test_phase_accounting(self):
@@ -142,8 +148,8 @@ class TestTimingLedger:
         ledger = TimingLedger()
         ledger.add("x", 1.0)
         ledger.add("x", 2.0)
-        assert ledger.seconds("x") == 3.0
-        assert ledger.seconds("y") == 0.0
+        assert phase_seconds(ledger, "x") == 3.0
+        assert phase_seconds(ledger, "y") == 0.0
 
 
 class TestStreamResidual:
@@ -170,8 +176,7 @@ class TestTrainOurs:
         assert EXTRACTION_1 in names and EXTRACTION_2 not in names
 
     def test_stored_provenance(self, ours):
-        assert ours.proposal_source == "stored"
-        assert ours.adapted_image_ids == frozenset()
+        assert ours.model.manifest["protocol"] == "ours"
 
     def test_all_modules_trained(self, ours):
         assert ours.model.detection.class_ids == (0, 1, 2)
@@ -217,10 +222,11 @@ class TestTrainOursSerial:
         assert phases[EXTRACTION_1].overlappable
         assert not phases[EXTRACTION_2].overlappable
 
-    def test_adapted_provenance(self, serial, train_records):
-        assert serial.proposal_source == "adapted"
-        assert serial.adapted_image_ids == {r.image_id
-                                            for r in train_records}
+    def test_adapted_provenance(self, serial, serial_featurizer,
+                                train_records):
+        assert serial.model.manifest["protocol"] == "ours_serial"
+        assert serial_featurizer.image_ids == [r.image_id
+                                               for r in train_records]
 
     def test_segmentation_sets_match_ours(self, ours, serial):
         # both protocols feed the mask head from gt boxes, so same seed
@@ -240,16 +246,19 @@ class TestTrainOursSerial:
                                        featurizer)
         assert evaluate(preds, test_records).mean_ap("segm", 0.5) >= 0.9
 
-    def test_dispatcher_routes_by_protocol(self, header, train_records,
-                                           config, ours, featurizer):
+    def test_dispatcher_routes_by_protocol(self, world, header,
+                                           train_records, config, ours):
+        recording = RecordingFeaturizer(world)
         result = quiet_train(pipeline.train, header, train_records, config,
-                             featurizer)
-        assert result.proposal_source == "stored"
+                             recording)
+        assert result.model.manifest["protocol"] == "ours"
+        assert recording.image_ids == []
         assert model_bytes(result.model) == model_bytes(ours.model)
         result = quiet_train(pipeline.train, header, train_records,
                              config.replace(protocol="ours_serial"),
-                             featurizer)
-        assert result.proposal_source == "adapted"
+                             recording)
+        assert result.model.manifest["protocol"] == "ours_serial"
+        assert recording.image_ids == [r.image_id for r in train_records]
 
 
 @pytest.mark.parametrize("protocol, phase", [("ours", EXTRACTION_1),
@@ -270,7 +279,7 @@ def test_detection_reservoir_update_is_timed(monkeypatch, header,
     result = quiet_train(pipeline.train, header, train_records,
                          config.replace(protocol=protocol), featurizer)
     untimed = time.perf_counter() - start - result.ledger.total_seconds()
-    assert result.ledger.seconds(phase) >= 0.2
+    assert phase_seconds(result.ledger, phase) >= 0.2
     assert result.ledger.post_acquisition_seconds() >= 0.2
     assert untimed < 0.2
 
@@ -327,18 +336,28 @@ class TestIncrementalTrainer:
         model = dataclasses.replace(result.model, manifest=manifest)
         assert model_bytes(model) == model_bytes(ours.model)
 
-    def test_failed_sequence_leaves_trainer_unchanged(self, config):
+    def test_failed_sequence_leaves_trainer_unchanged(self, config,
+                                                      monkeypatch):
         world = small_world(class_names=("a", "b", "c"), seed=21,
                             active_classes=(0, 1))
         first = list(world.generate(10))
-        lacking = list(world.generate(10, start_id=100))
         world.active_classes = (0, 1, 2)
         second = list(world.generate(10, start_id=200))
         trainer = pipeline.IncrementalTrainer(world.header(), config)
         quiet_train(trainer.add_sequence, first)
-        for _ in range(2):  # a retry fails the same way
-            with pytest.raises(UntrainableClassError):
-                quiet_train(trainer.add_sequence, lacking, new_class_ids=[2])
+        failures = []
+
+        def fail(model, records, new_class_ids, *args):
+            # both reservoir forks hold the sequence and class 2 by now
+            failures.append(tuple(new_class_ids))
+            raise UntrainableClassError(new_class_ids)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "extend_segmentation", fail)
+            for _ in range(2):  # a retry fails the same way
+                with pytest.raises(UntrainableClassError):
+                    quiet_train(trainer.add_sequence, second)
+        assert failures == [(2,), (2,)]
         assert trainer.class_ids == (0, 1)
         assert trainer.rpn_reservoir.num_images == 10
         assert trainer.detection_reservoir.num_images == 10
@@ -350,6 +369,28 @@ class TestIncrementalTrainer:
         quiet_train(clean.add_sequence, first)
         want = quiet_train(clean.add_sequence, second)
         assert model_bytes(got.model) == model_bytes(want.model)
+
+    def test_each_head_trains_with_its_own_settings(self, header,
+                                                    train_records):
+        cfg = ProtocolConfig(num_batches=3, batch_size=77, rpn_centers=11,
+                             detection_centers=22, segmentation_centers=33,
+                             pixel_fraction=0.5, rpn_sigma=1.0, rpn_lam=0.1,
+                             detection_sigma=2.0, detection_lam=0.2,
+                             segmentation_sigma=3.0, segmentation_lam=0.3)
+        trainer = pipeline.IncrementalTrainer(header, cfg)
+        model = quiet_train(trainer.add_sequence, train_records).model
+        assert trainer.rpn_reservoir.config == BootstrapConfig(
+            num_batches=3, batch_size=77, num_centers=11, sigma=1.0, lam=0.1)
+        assert trainer.detection_reservoir.config == BootstrapConfig(
+            num_batches=3, batch_size=77, num_centers=22, sigma=2.0, lam=0.2)
+        assert model.segmentation.config == SegmentationConfig(
+            num_centers=33, sigma=3.0, lam=0.3, subsample=0.5)
+        for head, want in ((model.rpn, (11, 1.0, 0.1)),
+                           (model.detection, (22, 2.0, 0.2)),
+                           (model.segmentation, (33, 3.0, 0.3))):
+            assert head.classifiers
+            assert {(len(c.centers), c.sigma, c.lam)
+                    for c in head.classifiers.values()} == {want}
 
     def test_serial_protocol_rejected(self, header, config):
         with pytest.raises(ValueError, match="'ours_serial'"):
@@ -399,7 +440,7 @@ class TestSimulateStream:
         result = quiet_train(pipeline.simulate_stream, header,
                              train_records, 3.0, 14.7, config)
         assert result.residual_seconds == 0.0
-        assert result.ledger.seconds(BACKLOG) == 0.0
+        assert phase_seconds(result.ledger, BACKLOG) == 0.0
         assert result.ledger.extraction_passes == 1
 
     def test_backlog_counts_toward_training(self, header, train_records,
@@ -420,7 +461,7 @@ class TestSimulateStream:
                              featurizer)
         assert result.residual_seconds == 0.0
         assert result.ledger.extraction_passes == 2
-        pass2 = result.ledger.seconds(EXTRACTION_2)
+        pass2 = phase_seconds(result.ledger, EXTRACTION_2)
         assert pass2 == pytest.approx(16.0 / 14.7)
         assert result.training_seconds >= pass2
 

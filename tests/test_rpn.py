@@ -1,17 +1,18 @@
 """Proposal-module tests: labeling rules, training, ranking, suppression."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from oseg.geometry import AnchorGrid, Box, iou
-from oseg.incremental import RpnReservoir, rpn_incremental_update
+from oseg.incremental import RpnReservoir
 from oseg.minibootstrap import BootstrapConfig
 from oseg.rpn import (
     ProposalConfig,
-    RpnTrainConfig,
     propose,
+    rpn_incremental_update,
     rpn_labeler,
     train_rpn_from_reservoir,
 )
@@ -48,21 +49,18 @@ def centered_box(cx, cy, w, h):
     return (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
 
-def small_train_config(sigma=0.5, lam=1e-4, reg_lam=1e-6, post_nms=50):
-    return RpnTrainConfig(
-        bootstrap=BootstrapConfig(
-            num_batches=4, batch_size=300, num_centers=200, sigma=sigma, lam=lam
-        ),
-        reg_lam=reg_lam,
-        proposals=ProposalConfig(pre_nms_top_k=300, nms_iou=0.7, post_nms_top_k=post_nms),
-    )
+SMALL_POOL = BootstrapConfig(num_batches=4, batch_size=300, num_centers=200,
+                             sigma=0.5, lam=1e-4)
 
 
-def train_rpn(records, grid, config, seed):
-    """The training core's proposal-module path on one sequence."""
-    reservoir = RpnReservoir(config=config.bootstrap, seed=seed)
+def train_rpn(records, grid, seed, post_nms=50):
+    """The training core's proposal-module path on one sequence, with
+    smaller inference limits than the default."""
+    reservoir = RpnReservoir(config=SMALL_POOL, seed=seed)
     rpn_incremental_update(reservoir, records, grid)
-    return train_rpn_from_reservoir(reservoir, grid, config, seed)
+    model = train_rpn_from_reservoir(reservoir, grid, seed)
+    limits = ProposalConfig(pre_nms_top_k=300, nms_iou=0.7, post_nms_top_k=post_nms)
+    return dataclasses.replace(model, config=limits)
 
 
 def filled_reservoir(records, grid):
@@ -179,7 +177,7 @@ class TestTraining:
     def test_classifier_separates_object_locations(self):
         world = SyntheticWorld(class_names=["a", "b", "c"], noise=0.0, seed=2, max_objects=1)
         records = list(world.generate(30))
-        model = train_rpn(records, world.grid, small_train_config(), seed=0)
+        model = train_rpn(records, world.grid, seed=0)
         assert not model.failures
         labeled = [rpn_labeler(world.grid)(r) for r in records]
         for a, clf in model.classifiers.items():
@@ -195,8 +193,8 @@ class TestTraining:
     def test_same_seed_reproducible(self):
         world = SyntheticWorld(class_names=["a"], noise=0.1, seed=5, max_objects=1)
         records = list(world.generate(10))
-        a = train_rpn(records, world.grid, small_train_config(), seed=1)
-        b = train_rpn(records, world.grid, small_train_config(), seed=1)
+        a = train_rpn(records, world.grid, seed=1)
+        b = train_rpn(records, world.grid, seed=1)
         for key in a.classifiers:
             np.testing.assert_array_equal(a.classifiers[key].weights, b.classifiers[key].weights)
         for key in a.regressors:
@@ -213,7 +211,7 @@ class TestTraining:
         grid = AnchorGrid()  # trained on the full three-shape lattice
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            model = train_rpn(records, grid, small_train_config(), seed=0)
+            model = train_rpn(records, grid, seed=0)
         assert set(model.classifiers) == {0}
         assert set(model.failures) == {1, 2}
         assert any("untrainable" in str(w.message) for w in caught)
@@ -233,7 +231,7 @@ class TestPropose:
             anchor_shapes=((64.0, 64.0),), max_objects=1,
         )
         train = list(world.generate(30))
-        model = train_rpn(train, world.grid, small_train_config(post_nms=post_nms), seed=0)
+        model = train_rpn(train, world.grid, seed=0, post_nms=post_nms)
         return world, model
 
     def test_top_proposal_overlaps_single_object(self):
@@ -249,7 +247,7 @@ class TestPropose:
         # shape matched, so cross-shape near-ties are expected; a > 0.9 box
         # must still sit within the top three
         world = SyntheticWorld(class_names=["a", "b"], noise=0.0, seed=8, max_objects=1)
-        model = train_rpn(list(world.generate(40)), world.grid, small_train_config(), seed=0)
+        model = train_rpn(list(world.generate(40)), world.grid, seed=0)
         assert not model.failures
         for record in list(world.generate(8, start_id=200)):
             ranked = propose(model, record)
@@ -258,7 +256,7 @@ class TestPropose:
 
     def test_ranked_sorted_suppressed_capped(self):
         world = SyntheticWorld(class_names=["a", "b"], noise=0.0, seed=9, max_objects=3)
-        model = train_rpn(list(world.generate(30)), world.grid, small_train_config(post_nms=20), seed=0)
+        model = train_rpn(list(world.generate(30)), world.grid, seed=0, post_nms=20)
         for record in list(world.generate(5, start_id=300)):
             ranked = propose(model, record)
             assert 0 < len(ranked) <= 20

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oseg.geometry import BinaryMask, Box, mask_iou, pixel_bounds
+from oseg.geometry import Box, mask_iou
 from oseg.incremental import UntrainableClassError
 from oseg.segmentation import (
     OnlineSegmentationModel,
