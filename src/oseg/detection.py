@@ -134,11 +134,10 @@ def train_detection_from_reservoir(
     error: callers asked for it by name.  The model keeps the default
     inference settings.
     """
-    pool = reservoir.to_pool()
-    starved = pool.untrainable_keys()
+    starved = [n for n, p in reservoir.positives.items() if p.shape[0] == 0]
     if starved:
         raise UntrainableClassError(starved)
-    result = run_minibootstrap(pool, reservoir.config, seed)
+    result = run_minibootstrap(reservoir, seed)
     if result.failures:
         raise RuntimeError(f"detection training failed: {result.failures}")
     regressors = {

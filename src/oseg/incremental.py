@@ -1,11 +1,13 @@
-"""Per-image negative reservoirs for cross-sequence incremental training.
+"""Per-image negative reservoirs: stage 1 of the minibootstrap.
 
 A reservoir keeps, per binary problem key, the accumulated positives and
-a per-image list of candidate negatives.  When a new image sequence
-arrives, every stored per-image list is first downsampled to the new
-quota ``ceil(num_batches * batch_size / total_images)`` and the new
-images are then ingested under the same quota, so the memory budget
-stays fixed no matter how many sequences have been absorbed.
+a per-image list of candidate negatives; it is the only stage-1 store,
+and :func:`oseg.minibootstrap.run_minibootstrap` mines it directly.
+When a new image sequence arrives, every stored per-image list is first
+downsampled to the new quota ``ceil(num_batches * batch_size /
+total_images)`` (:func:`per_image_quota`) and the new images are then
+ingested under the same quota, so the memory budget stays fixed no
+matter how many sequences have been absorbed.
 
 Because each image's rows are only ever subsampled uniformly and
 independently, the pool after any number of updates is distributed
@@ -37,12 +39,7 @@ from itertools import combinations
 import numpy as np
 from scipy.stats import chisquare
 
-from .minibootstrap import (
-    BootstrapConfig,
-    NegativePool,
-    per_image_quota,
-    subsample_rows,
-)
+from .minibootstrap import BootstrapConfig
 from .seeding import rng_for
 
 
@@ -52,6 +49,22 @@ class UntrainableClassError(ValueError):
     def __init__(self, keys, context: str = "training"):
         self.keys = tuple(keys)
         super().__init__(f"no positive samples for {context}: {list(self.keys)}")
+
+
+def per_image_quota(num_batches: int, batch_size: int, num_images: int) -> int:
+    """How many negatives each image may contribute to the pool."""
+    if num_batches < 1 or batch_size < 1 or num_images < 1:
+        raise ValueError("all quota arguments must be >= 1")
+    return math.ceil(num_batches * batch_size / num_images)
+
+
+def subsample_rows(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform subsample without replacement; everything if k >= len(rows)."""
+    n = rows.shape[0]
+    if k >= n:
+        return rows
+    idx = rng.choice(n, size=k, replace=False)
+    return rows[idx]
 
 
 def _as_features(a, width: int | None) -> tuple[np.ndarray, int | None]:
@@ -95,21 +108,12 @@ class SampleReservoir:
     config: BootstrapConfig
     seed: int = 0
     feature_dim: int | None = None
-    num_images: int = 0
     updates: int = 0
     image_ids: list = field(default_factory=list)
     positives: dict = field(default_factory=dict)
     negatives: dict = field(default_factory=dict)
     reg_features: dict = field(default_factory=dict)
     reg_targets: dict = field(default_factory=dict)
-
-    @property
-    def quota(self) -> int:
-        if self.num_images < 1:
-            raise ValueError("reservoir holds no images yet")
-        return per_image_quota(
-            self.config.num_batches, self.config.batch_size, self.num_images
-        )
 
     def keys(self):
         return self.positives.keys()
@@ -160,7 +164,7 @@ class SampleReservoir:
         new_ids = self._require_new_ids(records)
         quota = per_image_quota(
             self.config.num_batches, self.config.batch_size,
-            self.num_images + len(records),
+            len(self.image_ids) + len(records),
         )
         self._downsample_old(quota, self.updates + 1)
         return records, new_ids, quota
@@ -189,23 +193,11 @@ class SampleReservoir:
             self.image_ids.append(image_id)
         if self.feature_dim is None:
             raise ValueError("labeler produced no features")
-        self.num_images += len(records)
         self.updates += 1
 
-    def _negatives_for(self, key, image_id) -> np.ndarray:
-        return self.negatives[key][image_id]
-
-    def to_pool(self) -> NegativePool:
-        """Materialize the minibootstrap stage-1 pool."""
-        if self.num_images < 1:
-            raise ValueError("reservoir holds no images yet")
-        pool = NegativePool()
-        for key in self.positives:
-            pool.positives[key] = self.positives[key]
-            pool.negatives[key] = [
-                self._negatives_for(key, image_id) for image_id in self.image_ids
-            ]
-        return pool
+    def negative_lists(self, key) -> list:
+        """A key's negatives as one array per image, in ingest order."""
+        return [self.negatives[key][image_id] for image_id in self.image_ids]
 
 
 @dataclass
@@ -244,11 +236,10 @@ class DetectionReservoir(SampleReservoir):
                 rows, quota, rng_for(self.seed, "down-buffer", t, image_id)
             )
 
-    def _negatives_for(self, key, image_id) -> np.ndarray:
-        stored = self.negatives[key][image_id]
-        if stored.shape[0]:
-            return stored
-        return self.buffers[image_id]
+    def negative_lists(self, key) -> list:
+        stored = super().negative_lists(key)
+        return [rows if rows.shape[0] else self.buffers[image_id]
+                for image_id, rows in zip(self.image_ids, stored)]
 
 
 @dataclass(frozen=True)

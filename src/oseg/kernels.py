@@ -143,11 +143,11 @@ class RlsRegressor:
 
 
 def train_rls(features, targets, lam: float) -> RlsRegressor:
-    """Fit ridge regression ``min |XW + b - T|^2 + lam |W|^2``.
+    """Fit ridge regression ``min |XW + b - T|^2 + lam |W|^2``, ``lam > 0``.
 
     The bias is left out of the penalty, which is what makes a single
-    sample reproduce its own target exactly.  ``lam`` may be zero, in
-    which case a least-squares solve is used.
+    sample reproduce its own target exactly.  The positive ``lam`` keeps
+    the centered Gram matrix invertible, so one linear solve suffices.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     t = np.asarray(targets, dtype=np.float64)
@@ -157,17 +157,14 @@ def train_rls(features, targets, lam: float) -> RlsRegressor:
         raise ValueError("features and targets disagree on sample count")
     if x.shape[0] == 0:
         raise ValueError("no training samples")
-    if lam < 0.0:
-        raise ValueError("lam must be non-negative")
+    if not lam > 0.0:
+        raise ValueError("lam must be positive")
     x_mean = x.mean(axis=0)
     t_mean = t.mean(axis=0)
     xc = x - x_mean
     tc = t - t_mean
-    if lam > 0.0:
-        gram = xc.T @ xc
-        gram[np.diag_indices_from(gram)] += lam
-        w = np.linalg.solve(gram, xc.T @ tc)
-    else:
-        w = np.linalg.lstsq(xc, tc, rcond=None)[0]
+    gram = xc.T @ xc
+    gram[np.diag_indices_from(gram)] += lam
+    w = np.linalg.solve(gram, xc.T @ tc)
     b = t_mean - x_mean @ w
     return RlsRegressor(weights=w, bias=b, lam=lam)

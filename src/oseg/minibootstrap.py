@@ -7,17 +7,16 @@ and cuts it into fixed-size batches, and stage 3 visits the batches once
 each: after every refit, rows the current model fails to reject stay in
 the working set and rows it rejects confidently are pruned.
 
-Stage 1 is the per-image reservoir of :mod:`oseg.incremental`, which
-hands a :class:`NegativePool` to stages 2-3.  The pool keeps its
-per-image structure until stage 2.  That independence is what makes the
-incremental reservoir updates statistically equivalent to collecting the
-pool in one shot (chained uniform subsampling of each image's rows is
-itself uniform).
+Stage 1 is the per-image reservoir of :mod:`oseg.incremental`; this
+module holds stages 2-3 and reads the reservoir directly.  The
+negatives keep their per-image structure until stage 2.  That
+independence is what makes the incremental reservoir updates
+statistically equivalent to collecting the pool in one shot (chained
+uniform subsampling of each image's rows is itself uniform).
 """
 
 from __future__ import annotations
 
-import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -28,14 +27,20 @@ from .kernels import KernelClassifier, SolverError, train_kernel_classifier
 from .seeding import rng_for
 
 
+# a negative scoring at or above HARD_THRESHOLD after a refit is still
+# "hard" and enters the working set; a working negative scoring below
+# EASY_THRESHOLD is pruned
+HARD_THRESHOLD = -1.0
+EASY_THRESHOLD = -1.0
+
+
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Pool layout, kernel hyper-parameters and mining thresholds.
+    """Pool layout and kernel hyper-parameters.
 
-    A negative scoring at or above ``hard_threshold`` after a refit is
-    still "hard" and enters the working set; a working negative scoring
-    below ``easy_threshold`` is pruned.  ``num_centers`` is clamped to
-    the training-set size at each refit.
+    A reservoir keeps about ``num_batches * batch_size`` negatives per
+    key, and stage 2 cuts them into at most ``num_batches`` batches.
+    ``num_centers`` is clamped to the training-set size at each refit.
     """
 
     num_batches: int = 10
@@ -43,59 +48,20 @@ class BootstrapConfig:
     num_centers: int = 1000
     sigma: float = 5.0
     lam: float = 1e-5
-    hard_threshold: float = -1.0
-    easy_threshold: float = -1.0
 
     def __post_init__(self):
         if self.num_batches < 1 or self.batch_size < 1 or self.num_centers < 1:
             raise ValueError("num_batches, batch_size and num_centers must be >= 1")
-        if self.hard_threshold < self.easy_threshold:
-            raise ValueError("hard_threshold must be >= easy_threshold")
 
 
-def per_image_quota(num_batches: int, batch_size: int, num_images: int) -> int:
-    """How many negatives each image may contribute to the pool."""
-    if num_batches < 1 or batch_size < 1 or num_images < 1:
-        raise ValueError("all quota arguments must be >= 1")
-    return math.ceil(num_batches * batch_size / num_images)
-
-
-def subsample_rows(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform subsample without replacement; everything if k >= len(rows)."""
-    n = rows.shape[0]
-    if k >= n:
-        return rows
-    idx = rng.choice(n, size=k, replace=False)
-    return rows[idx]
-
-
-@dataclass
-class NegativePool:
-    """Per-problem positives and per-image negative lists.
-
-    Keys identify independent binary problems (anchor indices for the
-    proposal module, class indices for detection).  Negatives keep their
-    per-image grouping so that later subsampling stays per-image.
-    """
-
-    positives: dict = field(default_factory=dict)
-    negatives: dict = field(default_factory=dict)
-
-    def keys(self):
-        return self.positives.keys()
-
-    def untrainable_keys(self) -> list:
-        return [k for k in self.positives if self.positives[k].shape[0] == 0]
-
-
-def make_batches(pool: NegativePool, key, config: BootstrapConfig, seed) -> list[np.ndarray]:
-    """Stage 2: shuffle a key's pooled negatives and cut them into batches.
+def make_batches(negatives, key, config: BootstrapConfig, seed) -> list[np.ndarray]:
+    """Stage 2: shuffle a key's per-image negatives and cut them into batches.
 
     At most ``num_batches`` batches of ``batch_size`` rows; the surplus
     is dropped after the shuffle.  A short pool yields fewer or smaller
     batches and a warning; an empty pool is an error.
     """
-    parts = [a for a in pool.negatives[key] if a.shape[0]]
+    parts = [a for a in negatives if a.shape[0]]
     if not parts:
         raise ValueError(f"no negatives pooled for {key!r}")
     merged = np.concatenate(parts, axis=0)
@@ -161,7 +127,7 @@ def mine_hard_negatives(
         if model is None:
             hard = batch
         else:
-            hard = batch[model.decision_values(batch) >= config.hard_threshold]
+            hard = batch[model.decision_values(batch) >= HARD_THRESHOLD]
         active = np.concatenate([active, hard], axis=0)
         n_train = pos.shape[0] + active.shape[0]
         centers = min(config.num_centers, n_train)
@@ -176,7 +142,7 @@ def mine_hard_negatives(
         )
         elapsed = time.perf_counter() - started
         if active.shape[0]:
-            keep = model.decision_values(active) >= config.easy_threshold
+            keep = model.decision_values(active) >= EASY_THRESHOLD
             pruned = int((~keep).sum())
             active = active[keep]
         else:
@@ -206,22 +172,26 @@ class MiningResult:
     failures: dict
 
 
-def run_minibootstrap(pool: NegativePool, config: BootstrapConfig, seed) -> MiningResult:
-    """Stages 2-3 over every key of a pool.
+def run_minibootstrap(reservoir, seed) -> MiningResult:
+    """Stages 2-3 over every key of a reservoir.
 
-    Keys without positives, and keys whose solver fails mid-iteration,
-    are recorded in ``failures`` and skipped; the remaining keys train
-    normally.  The caller decides whether a failure is fatal.
+    Batch layout and kernel hyper-parameters come from
+    ``reservoir.config``.  Keys without positives, and keys whose solver
+    fails mid-iteration, are recorded in ``failures`` and skipped; the
+    remaining keys train normally.  The caller decides whether a failure
+    is fatal.
     """
+    config = reservoir.config
     result = MiningResult(classifiers={}, stats={}, failures={})
-    for key in sorted(pool.keys(), key=str):
-        if pool.positives[key].shape[0] == 0:
+    for key in sorted(reservoir.positives, key=str):
+        positives = reservoir.positives[key]
+        if positives.shape[0] == 0:
             result.failures[key] = "no positive samples"
             continue
         try:
-            batches = make_batches(pool, key, config, seed)
+            batches = make_batches(reservoir.negative_lists(key), key, config, seed)
             model, stats = mine_hard_negatives(
-                pool.positives[key], batches, config, rng_seed_key(seed, key)
+                positives, batches, config, (seed, "stage3", key)
             )
         except (SolverError, ValueError) as exc:
             result.failures[key] = str(exc)
@@ -229,8 +199,3 @@ def run_minibootstrap(pool: NegativePool, config: BootstrapConfig, seed) -> Mini
         result.classifiers[key] = model
         result.stats[key] = stats
     return result
-
-
-def rng_seed_key(seed, key) -> tuple:
-    """Stable per-key seed tuple for the stage-3 loop."""
-    return (seed, "stage3", key)

@@ -17,6 +17,8 @@ extraction speed.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import platform
 import time
 from contextlib import contextmanager
@@ -75,6 +77,16 @@ class ProtocolConfig:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}; "
                              f"expected one of {PROTOCOLS}")
+        # a JSON config can hold strings, booleans and NaN in any field
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Real)
+                                      or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         for name in ("num_batches", "batch_size", "rpn_centers",
                      "detection_centers", "segmentation_centers"):
             if getattr(self, name) < 1:
@@ -459,14 +471,20 @@ class StreamResult:
     training_seconds: float
 
 
+def _require_fps(stream_fps: float, extraction_fps: float) -> None:
+    # a NaN compares false both ways, so test for the valid range
+    if not all(math.isfinite(f) and f > 0 for f in (stream_fps, extraction_fps)):
+        raise ValueError(f"FPS figures must be positive and finite, got "
+                         f"{stream_fps!r} and {extraction_fps!r}")
+
+
 def stream_residual(num_frames: int, stream_fps: float,
                     extraction_fps: float) -> float:
     """Backlog left when the stream ends: extraction capacity below the
     frame rate accumulates work that must drain before training starts."""
     if num_frames < 0:
         raise ValueError("frame count must be non-negative")
-    if stream_fps <= 0 or extraction_fps <= 0:
-        raise ValueError("FPS figures must be positive")
+    _require_fps(stream_fps, extraction_fps)
     return max(0.0, num_frames / extraction_fps - num_frames / stream_fps)
 
 
@@ -481,8 +499,7 @@ def simulate_stream(header: DatasetHeader, records, stream_fps: float,
     on-line training phases (and the serial protocol's second pass) are
     measured for real and always count.
     """
-    if stream_fps <= 0 or extraction_fps <= 0:
-        raise ValueError("FPS figures must be positive")
+    _require_fps(stream_fps, extraction_fps)
     result = train(header, records, config, featurizer, dataset_hash)
     num_frames = result.model.manifest["num_records"]
     stream_seconds = num_frames / stream_fps

@@ -122,15 +122,14 @@ def train_rpn_from_reservoir(
     grid: AnchorGrid,
     seed,
 ) -> OnlineRpnModel:
-    """Mine classifiers from the reservoir pool and fit regressor banks.
+    """Mine classifiers from the reservoir and fit regressor banks.
 
     Batch layout and kernel hyper-parameters come from the reservoir's
     own bootstrap config; the model keeps the default inference
     settings.  Untrainable shapes are skipped with a warning and
     recorded on the model.
     """
-    pool = reservoir.to_pool()
-    result = run_minibootstrap(pool, reservoir.config, seed)
+    result = run_minibootstrap(reservoir, seed)
     for key, reason in result.failures.items():
         warnings.warn(f"anchor shape {key} untrainable: {reason}", stacklevel=2)
     regressors = {}

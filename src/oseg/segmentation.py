@@ -20,7 +20,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from .geometry import BinaryMask, Box, pixel_bounds
-from .incremental import UntrainableClassError
+from .incremental import UntrainableClassError, subsample_rows
 from .kernels import train_kernel_classifier
 from .seeding import rng_for
 
@@ -56,18 +56,6 @@ class OnlineSegmentationModel:
         return tuple(sorted(self.classifiers))
 
 
-def _subsample_side(rows: np.ndarray, fraction: float, rng) -> np.ndarray:
-    """Keep floor(fraction * count) rows, at least one when any exist."""
-    count = rows.shape[0]
-    if count == 0:
-        return rows
-    keep = max(1, math.floor(fraction * count))
-    if keep >= count:
-        return rows
-    idx = rng.choice(count, size=keep, replace=False)
-    return rows[idx]
-
-
 def build_segmentation_training_sets(records, class_ids, fraction: float, seed) -> dict:
     """Per-class pixel features from ground-truth boxes only.
 
@@ -93,10 +81,11 @@ def build_segmentation_training_sets(records, class_ids, fraction: float, seed) 
                 continue
             flat = gt.mask_features.reshape(-1, gt.mask_features.shape[-1])
             labels = gt.pixel_labels.ravel()
-            rng_pos = rng_for(seed, "seg-pixels", record.image_id, k, "pos")
-            rng_neg = rng_for(seed, "seg-pixels", record.image_id, k, "neg")
-            pos[gt.class_id].append(_subsample_side(flat[labels], fraction, rng_pos))
-            neg[gt.class_id].append(_subsample_side(flat[~labels], fraction, rng_neg))
+            for side, rows, store in (("pos", flat[labels], pos),
+                                      ("neg", flat[~labels], neg)):
+                keep = max(1, math.floor(fraction * rows.shape[0]))
+                rng = rng_for(seed, "seg-pixels", record.image_id, k, side)
+                store[gt.class_id].append(subsample_rows(rows, keep, rng))
     out = {}
     starved = []
     for n in class_ids:

@@ -111,6 +111,18 @@ class TestTrain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tree", [{"num_batches": "10"},
+                                      {"rpn_lam": float("nan")}])
+    def test_malformed_config_value_fails(self, work, tmp_path, capsys, tree):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(tree))
+        out = tmp_path / "m.oseg"
+        code = run("train", "--dataset", str(work / "train.oseg"),
+                   "--out", str(out), "--config", str(cfg))
+        assert code == 2
+        assert f"error: {next(iter(tree))}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_fails(self, tmp_path, capsys):
         code = run("train", "--dataset", str(tmp_path / "nope.oseg"),
                    "--out", str(tmp_path / "m.oseg"))
@@ -250,6 +262,13 @@ class TestSimulateStream:
         manifest = json.loads((tmp_path / "stream.csv.manifest.json")
                               .read_text())
         assert manifest["residual_seconds"] == 0.0
+
+
+    def test_nan_fps_fails(self, work, capsys):
+        code = run("simulate-stream", "--dataset", str(work / "train.oseg"),
+                   "--stream-fps", "nan", "--extraction-fps", "1")
+        assert code == 2
+        assert "positive and finite" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -132,11 +132,11 @@ class TestTrainingSets:
         with_cls = FakeRecord(0, [(0, gt)], [gt, (200.0, 200.0, 230.0, 230.0)])
         without = FakeRecord(1, [], [(10.0, 10.0, 50.0, 50.0), (60.0, 60.0, 90.0, 90.0)])
         reservoir = fill_reservoir([with_cls, without], [0])
-        pool = reservoir.to_pool()
-        assert pool.positives[0].shape[0] == 1
+        lists = reservoir.negative_lists(0)
+        assert reservoir.positives[0].shape[0] == 1
         # the empty image's buffer stands in: both of its proposals
-        assert tags_of(pool.negatives[0][1]) == {0, 1}
-        assert tags_of(np.concatenate(pool.negatives[0])) == {0, 1}
+        assert tags_of(lists[1]) == {0, 1}
+        assert tags_of(np.concatenate(lists)) == {0, 1}
         assert reservoir.reg_features[0].shape[0] == 1
 
     def test_starved_class_raises_with_keys(self):

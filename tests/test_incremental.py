@@ -8,15 +8,12 @@ from oseg.incremental import (
     RpnReservoir,
     SampleReservoir,
     UntrainableClassError,
-    sampling_equivalence_test,
-)
-from oseg.detection import detection_incremental_update
-from oseg.minibootstrap import (
-    BootstrapConfig,
-    NegativePool,
     per_image_quota,
+    sampling_equivalence_test,
     subsample_rows,
 )
+from oseg.detection import detection_incremental_update
+from oseg.minibootstrap import BootstrapConfig
 from oseg.seeding import rng_for
 
 
@@ -38,23 +35,25 @@ def dict_labeler(record):
     return record.labeled
 
 
-def one_shot_pool(records, labeler, config, seed) -> NegativePool:
+def one_shot_pool(records, labeler, config, seed) -> tuple[dict, dict]:
     """Reference stage 1: every image's negatives quota-sampled at once.
 
-    Sampling is reseeded per (key, image) exactly as the reservoir does,
-    so one update of an empty reservoir must reproduce this pool.
+    Returns ``(positives, negatives)``: per key, the concatenated
+    positives and one negative array per image.  Sampling is reseeded
+    per (key, image) exactly as the reservoir does, so one update of an
+    empty reservoir must reproduce this pool.
     """
     quota = per_image_quota(config.num_batches, config.batch_size, len(records))
-    pool = NegativePool()
+    positives, negatives = {}, {}
     for record in records:
         for key, (pos, neg, _, _) in labeler(record).items():
-            pool.positives.setdefault(key, []).append(pos)
+            positives.setdefault(key, []).append(pos)
             sampled = subsample_rows(
                 neg, quota, rng_for(seed, "stage1", key, record.image_id)
             )
-            pool.negatives.setdefault(key, []).append(sampled)
-    pool.positives = {k: np.concatenate(v) for k, v in pool.positives.items()}
-    return pool
+            negatives.setdefault(key, []).append(sampled)
+    positives = {k: np.concatenate(v) for k, v in positives.items()}
+    return positives, negatives
 
 
 def make_records(start, count, keys=(0,), negatives_per_image=30, positives_on=0):
@@ -83,10 +82,10 @@ class TestReservoirQuota:
     def test_quota_shrinks_as_images_accumulate(self):
         res = SampleReservoir(config=small_config(4, 100), seed=0)
         res.update(make_records(0, 100), dict_labeler)
-        assert res.quota == per_image_quota(4, 100, 100) == 4
+        assert per_image_quota(4, 100, len(res.image_ids)) == 4
         assert all(rows.shape[0] <= 4 for rows in res.negatives[0].values())
         res.update(make_records(100, 100), dict_labeler)
-        assert res.quota == 2
+        assert per_image_quota(4, 100, len(res.image_ids)) == 2
         assert all(rows.shape[0] <= 2 for rows in res.negatives[0].values())
 
     def test_memory_bound_by_quota_times_images(self):
@@ -94,7 +93,8 @@ class TestReservoirQuota:
         for start in (0, 50, 100, 200):
             res.update(make_records(start, 50), dict_labeler)
             total = sum(rows.shape[0] for rows in res.negatives[0].values())
-            assert total <= res.quota * res.num_images
+            quota = per_image_quota(4, 100, len(res.image_ids))
+            assert total <= quota * len(res.image_ids)
 
     def test_downsample_keeps_subset_of_original_rows(self):
         res = SampleReservoir(config=small_config(4, 100), seed=7)
@@ -121,25 +121,24 @@ class TestReservoirBookkeeping:
         config = small_config(4, 40)
         res = SampleReservoir(config=config, seed=11)
         res.update(records, dict_labeler)
-        pool = res.to_pool()
-        batch = one_shot_pool(records, dict_labeler, config, seed=11)
-        assert all(len(lists) == len(records) for lists in pool.negatives.values())
-        assert set(pool.keys()) == set(batch.keys())
-        for key in batch.keys():
-            np.testing.assert_array_equal(pool.positives[key], batch.positives[key])
-            assert len(pool.negatives[key]) == len(batch.negatives[key])
-            for mine, theirs in zip(pool.negatives[key], batch.negatives[key]):
+        positives, negatives = one_shot_pool(records, dict_labeler, config, seed=11)
+        assert all(len(res.negative_lists(key)) == len(records) for key in res.keys())
+        assert set(res.keys()) == set(positives)
+        for key in positives:
+            np.testing.assert_array_equal(res.positives[key], positives[key])
+            assert len(res.negative_lists(key)) == len(negatives[key])
+            for mine, theirs in zip(res.negative_lists(key), negatives[key]):
                 np.testing.assert_array_equal(mine, theirs)
 
     def test_new_key_gets_empty_lists_on_old_images(self):
         res = SampleReservoir(config=small_config(), seed=0)
         res.update(make_records(0, 5, keys=(0,)), dict_labeler)
         res.update(make_records(5, 5, keys=(0, 1), positives_on=5), dict_labeler)
-        pool = res.to_pool()
-        assert len(pool.negatives[1]) == 10
-        for rows in pool.negatives[1][:5]:
+        lists = res.negative_lists(1)
+        assert len(lists) == 10
+        for rows in lists[:5]:
             assert rows.shape[0] == 0
-        assert any(rows.shape[0] for rows in pool.negatives[1][5:])
+        assert any(rows.shape[0] for rows in lists[5:])
 
     def test_duplicate_image_id_rejected(self):
         res = SampleReservoir(config=small_config(), seed=0)
@@ -183,12 +182,12 @@ class TestReservoirBookkeeping:
             res = RpnReservoir(config=small_config(4, 20), seed=5)
             res.update(make_records(0, 30, positives_on=2), dict_labeler)
             res.update(make_records(30, 30), dict_labeler)
-            return res.to_pool()
+            return res
 
         a, b = run(), run()
         for key in a.keys():
             np.testing.assert_array_equal(a.positives[key], b.positives[key])
-            for x, y in zip(a.negatives[key], b.negatives[key]):
+            for x, y in zip(a.negative_lists(key), b.negative_lists(key)):
                 np.testing.assert_array_equal(x, y)
 
 
@@ -210,9 +209,9 @@ class TestDetectionBuffers:
         res = DetectionReservoir(config=small_config(4, 40), seed=0)
         records = self.make_detection_records(0, 10, with_class=lambda i: i < 5)
         res.update(records, dict_labeler)
-        pool = res.to_pool()
+        lists = res.negative_lists(0)
         for image_index in range(10):
-            rows = pool.negatives[0][image_index]
+            rows = lists[image_index]
             assert rows.shape[0] > 0
             if image_index < 5:
                 assert (rows[:, 0] >= 0).all()      # stored negatives
@@ -230,7 +229,7 @@ class TestDetectionBuffers:
             self.make_detection_records(10, 30, with_class=lambda i: False),
             dict_labeler,
         )
-        quota = res.quota
+        quota = per_image_quota(4, 40, len(res.image_ids))
         for image_id, original in first.items():
             assert res.buffers[image_id].shape[0] <= quota
             assert set(map(tuple, res.buffers[image_id])) <= original
@@ -239,19 +238,18 @@ class TestDetectionBuffers:
         res = DetectionReservoir(config=small_config(4, 40), seed=0)
         records = self.make_detection_records(0, 5, with_class=lambda i: True)
         res.update(records, dict_labeler)
-        before = res.to_pool()
+        positives, lists = res.positives[0], res.negative_lists(0)
         buffers = dict(res.buffers)
         fork = res.fork()
         later = self.make_detection_records(5, 30, with_class=lambda i: i % 2)
         fork.update(later, dict_labeler)
-        assert (fork.num_images, res.num_images) == (35, 5)
+        assert (len(fork.image_ids), len(res.image_ids)) == (35, 5)
         assert res.image_ids == list(range(5))
         assert res.buffers.keys() == buffers.keys()
         for image_id, rows in buffers.items():
             assert res.buffers[image_id] is rows
-        after = res.to_pool()
-        np.testing.assert_array_equal(after.positives[0], before.positives[0])
-        for x, y in zip(after.negatives[0], before.negatives[0], strict=True):
+        np.testing.assert_array_equal(res.positives[0], positives)
+        for x, y in zip(res.negative_lists(0), lists, strict=True):
             np.testing.assert_array_equal(x, y)
 
 

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from oseg.incremental import SampleReservoir
+from oseg import minibootstrap
+from oseg.incremental import SampleReservoir, per_image_quota, subsample_rows
 from oseg.minibootstrap import (
     BootstrapConfig,
     make_batches,
     mine_hard_negatives,
-    per_image_quota,
     run_minibootstrap,
-    subsample_rows,
 )
 from oseg.seeding import rng_for
 
@@ -30,16 +29,16 @@ class FakeRecord:
 
 
 def reservoir_pool(records, config, seed):
-    """Stage 1 of a single sequence: the reservoir's pool."""
+    """Stage 1 of a single sequence: a reservoir filled once."""
     reservoir = SampleReservoir(config=config, seed=seed)
     reservoir.update(
         records, lambda r: {k: (p, n, (), ()) for k, (p, n) in r.labeled.items()}
     )
-    return reservoir.to_pool()
+    return reservoir
 
 
 def negative_count(pool, key) -> int:
-    return sum(a.shape[0] for a in pool.negatives[key])
+    return sum(a.shape[0] for a in pool.negative_lists(key))
 
 
 def single_key_records(per_image, positives):
@@ -86,8 +85,8 @@ class TestCollectPool:
         )
         pool = reservoir_pool(records, self.config(4, 12), seed=1)
         # quota = ceil(48 / 6) = 8 per image
-        assert len(pool.negatives[0]) == 6
-        assert all(a.shape[0] <= 8 for a in pool.negatives[0])
+        assert len(pool.negative_lists(0)) == 6
+        assert all(a.shape[0] <= 8 for a in pool.negative_lists(0))
         assert negative_count(pool, 0) == 48
         assert pool.positives[0].shape == (5, 4)
 
@@ -109,14 +108,16 @@ class TestCollectPool:
             [tagged_rows(0, 10), tagged_rows(1, 10)], tagged_rows(9, 3)
         )
         pool = reservoir_pool(records, self.config(2, 10), seed=3)
-        contributed = {int(a[0, 0]) for a in pool.negatives[0] if a.shape[0]}
+        contributed = {int(a[0, 0]) for a in pool.negative_lists(0) if a.shape[0]}
         assert contributed == {0, 1}
 
     def test_untrainable_key_reported(self):
         records = [FakeRecord(0, {0: (tagged_rows(9, 2), tagged_rows(0, 5)),
                                   1: (np.empty((0, 4)), tagged_rows(0, 5))})]
         pool = reservoir_pool(records, self.config(2, 10), seed=4)
-        assert pool.untrainable_keys() == [1]
+        result = run_minibootstrap(pool, seed=4)
+        assert result.failures == {1: "no positive samples"}
+        assert set(result.classifiers) == {0}
 
     def test_deterministic_per_image_and_key(self):
         records = single_key_records(
@@ -124,11 +125,12 @@ class TestCollectPool:
         )
         a = reservoir_pool(records, self.config(3, 8), seed=77)
         b = reservoir_pool(records, self.config(3, 8), seed=77)
-        for x, y in zip(a.negatives[0], b.negatives[0]):
+        for x, y in zip(a.negative_lists(0), b.negative_lists(0)):
             np.testing.assert_array_equal(x, y)
         c = reservoir_pool(records, self.config(3, 8), seed=78)
         assert any(
-            x.tobytes() != y.tobytes() for x, y in zip(a.negatives[0], c.negatives[0])
+            x.tobytes() != y.tobytes()
+            for x, y in zip(a.negative_lists(0), c.negative_lists(0))
         )
 
 
@@ -141,7 +143,7 @@ class TestMakeBatches:
 
     def test_full_batches(self):
         pool, cfg = self.pool_of([tagged_rows(i, 10) for i in range(4)], 2, 10)
-        batches = make_batches(pool, 0, cfg, seed=5)
+        batches = make_batches(pool.negative_lists(0), 0, cfg, seed=5)
         assert [b.shape[0] for b in batches] == [10, 10]
         rows = {(int(r[0]), int(r[1])) for b in batches for r in b}
         assert len(rows) == 20  # no duplicates across batches
@@ -149,18 +151,18 @@ class TestMakeBatches:
     def test_partial_last_batch_warns(self):
         pool, cfg = self.pool_of([tagged_rows(0, 9), tagged_rows(1, 6)], 2, 10)
         with pytest.warns(UserWarning, match="short"):
-            batches = make_batches(pool, 0, cfg, seed=5)
+            batches = make_batches(pool.negative_lists(0), 0, cfg, seed=5)
         assert [b.shape[0] for b in batches] == [10, 5]
 
     def test_zero_negatives_error(self):
         pool, cfg = self.pool_of([np.empty((0, 4))], 2, 10)
         with pytest.raises(ValueError, match="no negatives"):
-            make_batches(pool, 0, cfg, seed=5)
+            make_batches(pool.negative_lists(0), 0, cfg, seed=5)
 
     def test_deterministic(self):
         pool, cfg = self.pool_of([tagged_rows(i, 30) for i in range(3)], 3, 10)
-        a = make_batches(pool, 0, cfg, seed=6)
-        b = make_batches(pool, 0, cfg, seed=6)
+        a = make_batches(pool.negative_lists(0), 0, cfg, seed=6)
+        b = make_batches(pool.negative_lists(0), 0, cfg, seed=6)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
@@ -194,7 +196,7 @@ class TestMineHardNegatives:
         pos, images = blob_setup()
         cfg = self.config()
         pool = blob_pool(pos, images, cfg, seed=1)
-        batches = make_batches(pool, 0, cfg, seed=1)
+        batches = make_batches(pool.negative_lists(0), 0, cfg, seed=1)
         model, stats = mine_hard_negatives(pos, batches, cfg, seed=1)
         assert stats.num_positives == 40
         assert len(stats.iterations) == len(batches)
@@ -211,7 +213,7 @@ class TestMineHardNegatives:
         pos, images = blob_setup()
         cfg = self.config()
         pool = blob_pool(pos, images, cfg, seed=2)
-        batches = make_batches(pool, 0, cfg, seed=2)
+        batches = make_batches(pool.negative_lists(0), 0, cfg, seed=2)
         model, stats = mine_hard_negatives(pos, batches, cfg, seed=2)
         assert (model.decision_values(pos) > 0).mean() > 0.95
         assert model.decision_values(np.full(5, -3.0)[None])[0] < 0
@@ -231,28 +233,30 @@ class TestMineHardNegatives:
         model, stats = mine_hard_negatives(pos, [batch, batch.copy()], cfg, seed=7)
         first = mine_hard_negatives(pos, [batch], cfg, seed=7)[0]
         scores = first.decision_values(batch)
-        expected_hard = int((scores >= cfg.hard_threshold).sum())
+        expected_hard = int((scores >= minibootstrap.HARD_THRESHOLD).sum())
         assert stats.iterations[1].hard_added == expected_hard
         assert 0 < expected_hard < 6
 
-    def test_never_prune_never_reject(self):
+    def test_never_prune_never_reject(self, monkeypatch):
+        monkeypatch.setattr(minibootstrap, "HARD_THRESHOLD", -np.inf)
+        monkeypatch.setattr(minibootstrap, "EASY_THRESHOLD", -np.inf)
         pos, images = blob_setup(n_images=4, per_image=30)
-        cfg = self.config(num_batches=3, batch_size=40,
-                          hard_threshold=-np.inf, easy_threshold=-np.inf)
+        cfg = self.config(num_batches=3, batch_size=40)
         pool = blob_pool(pos, images, cfg, seed=3)
-        batches = make_batches(pool, 0, cfg, seed=3)
+        batches = make_batches(pool.negative_lists(0), 0, cfg, seed=3)
         total = sum(b.shape[0] for b in batches)
         model, stats = mine_hard_negatives(pos, batches, cfg, seed=3)
         assert stats.iterations[-1].active_negatives == total
         assert sum(it.easy_pruned for it in stats.iterations) == 0
         assert stats.iterations[-1].training_size == 40 + total
 
-    def test_reject_all_keeps_first_batch_only(self):
+    def test_reject_all_keeps_first_batch_only(self, monkeypatch):
+        monkeypatch.setattr(minibootstrap, "HARD_THRESHOLD", np.inf)
+        monkeypatch.setattr(minibootstrap, "EASY_THRESHOLD", -np.inf)
         pos, images = blob_setup(n_images=4, per_image=30)
-        cfg = self.config(num_batches=3, batch_size=40, hard_threshold=np.inf,
-                          easy_threshold=-np.inf)
+        cfg = self.config(num_batches=3, batch_size=40)
         pool = blob_pool(pos, images, cfg, seed=4)
-        batches = make_batches(pool, 0, cfg, seed=4)
+        batches = make_batches(pool.negative_lists(0), 0, cfg, seed=4)
         model, stats = mine_hard_negatives(pos, batches, cfg, seed=4)
         assert [it.hard_added for it in stats.iterations[1:]] == [0, 0]
         assert stats.iterations[-1].active_negatives == batches[0].shape[0]
@@ -261,7 +265,7 @@ class TestMineHardNegatives:
         pos, images = blob_setup()
         cfg = self.config()
         pool = blob_pool(pos, images, cfg, seed=5)
-        batches = make_batches(pool, 0, cfg, seed=5)
+        batches = make_batches(pool.negative_lists(0), 0, cfg, seed=5)
         a, _ = mine_hard_negatives(pos, batches, cfg, seed=5)
         b, _ = mine_hard_negatives(pos, batches, cfg, seed=5)
         assert a.weights.tobytes() == b.weights.tobytes()
@@ -273,8 +277,6 @@ class TestMineHardNegatives:
             mine_hard_negatives(np.empty((0, 3)), [np.ones((2, 3))], cfg, 0)
         with pytest.raises(ValueError, match="batch"):
             mine_hard_negatives(np.ones((2, 3)), [], cfg, 0)
-        with pytest.raises(ValueError):
-            BootstrapConfig(hard_threshold=-2.0, easy_threshold=-1.0)
 
 
 class TestRunMinibootstrap:
@@ -290,7 +292,7 @@ class TestRunMinibootstrap:
             }
             records.append(FakeRecord(i, labeled))
         pool = reservoir_pool(records, cfg, seed=6)
-        result = run_minibootstrap(pool, cfg, seed=6)
+        result = run_minibootstrap(pool, seed=6)
         assert set(result.classifiers) == {"good"}
         assert result.failures == {"no_pos": "no positive samples"}
         assert set(result.stats) == {"good"}
@@ -302,6 +304,6 @@ class TestRunMinibootstrap:
                               sigma=2.0, lam=1e-5)
         records = single_key_records(images, pos)
         pool = reservoir_pool(records, cfg, seed=8)
-        a = run_minibootstrap(pool, cfg, seed=8)
-        b = run_minibootstrap(pool, cfg, seed=8)
+        a = run_minibootstrap(pool, seed=8)
+        b = run_minibootstrap(pool, seed=8)
         assert a.classifiers[0].weights.tobytes() == b.classifiers[0].weights.tobytes()

@@ -1,9 +1,11 @@
 """Every public name in ``src/oseg`` has a caller outside the tests, and
 no module imports a name it never uses.
 
-A public function, method or class counts as used when its name occurs
-anywhere in ``src/oseg``, ``demos/`` or ``perfbench/`` other than its own
-definition: as a name, an attribute or an imported name.  The match is
+A public function or class counts as used when its name occurs anywhere
+in ``src/oseg``, ``demos/`` or ``perfbench/`` other than its own
+definition: as a name, an attribute or an imported name.  A public method
+or property counts as used only when its name occurs as an attribute,
+since a local variable of the same name does not call it.  The match is
 by name only, so a same-named reference elsewhere also counts.
 """
 
@@ -28,52 +30,59 @@ _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _public_definitions(tree):
+    """``(name, line, is_method)`` for every public definition."""
+    methods = {id(item) for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for item in node.body}
     for node in ast.walk(tree):
         if isinstance(node, _DEFINITIONS) and not node.name.startswith("_"):
-            yield node.name, node.lineno
+            yield node.name, node.lineno, id(node) in methods
 
 
-def _references(tree) -> Counter:
-    names = Counter()
+def _references(tree) -> tuple[Counter, Counter]:
+    """Counts of every referenced name and of names used as attributes."""
+    names, attributes = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
             names[node.attr] += 1
+            attributes[node.attr] += 1
         elif isinstance(node, ast.alias):
             names[node.name.rsplit(".", 1)[-1]] += 1
-    return names
+    return names, attributes
 
 
 def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _non_test_references() -> Counter:
-    references = Counter()
+def _non_test_references() -> tuple[Counter, Counter]:
+    names, attributes = Counter(), Counter()
     for path in [*SOURCE.glob("*.py"), *(ROOT / "demos").glob("*.py"),
                  *(ROOT / "perfbench").glob("*.py")]:
-        references.update(_references(_parse(path)))
-    return references
+        found_names, found_attributes = _references(_parse(path))
+        names.update(found_names)
+        attributes.update(found_attributes)
+    return names, attributes
 
 
 def test_every_public_name_has_a_non_test_caller():
-    references = _non_test_references()
+    names, attributes = _non_test_references()
     unused = sorted(
         f"{path.name}:{line} {name}"
         for path in SOURCE.glob("*.py")
-        for name, line in _public_definitions(_parse(path))
-        if not references[name] and name not in KEPT
+        for name, line, is_method in _public_definitions(_parse(path))
+        if not (attributes if is_method else names)[name] and name not in KEPT
     )
     assert not unused, f"public names without a non-test caller: {unused}"
 
 
 def test_kept_names_exist_and_have_no_other_caller():
     defined = {name for path in SOURCE.glob("*.py")
-               for name, _ in _public_definitions(_parse(path))}
+               for name, _, _ in _public_definitions(_parse(path))}
     assert set(KEPT) <= defined
-    references = _non_test_references()
-    assert not [name for name in KEPT if references[name]]
+    names, _ = _non_test_references()
+    assert not [name for name in KEPT if names[name]]
 
 
 def _imported_names(tree):

@@ -130,6 +130,21 @@ class TestProtocolConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(**kw)
 
+    @pytest.mark.parametrize("key,value", [
+        ("num_batches", "10"),
+        ("batch_size", 2000.0),
+        ("rpn_centers", True),
+        ("seed", 1.5),
+        ("seed", False),
+        ("rpn_lam", float("nan")),
+        ("detection_sigma", float("inf")),
+        ("pixel_fraction", "0.3"),
+        ("segmentation_lam", None),
+    ])
+    def test_rejects_wrong_types_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            ProtocolConfig.from_json({key: value})
+
 
 class TestTimingLedger:
     def test_phase_accounting(self):
@@ -167,6 +182,12 @@ class TestStreamResidual:
             stream_residual(10, 0.0, 1.0)
         with pytest.raises(ValueError):
             stream_residual(10, 3.0, 0.0)
+
+    @pytest.mark.parametrize("fps", [(float("nan"), 1.0), (3.0, float("nan")),
+                                     (float("inf"), 1.0), (3.0, float("inf"))])
+    def test_non_finite_fps_rejected(self, fps):
+        with pytest.raises(ValueError, match="finite"):
+            stream_residual(90, *fps)
 
 
 class TestTrainOurs:
@@ -359,8 +380,8 @@ class TestIncrementalTrainer:
                     quiet_train(trainer.add_sequence, second)
         assert failures == [(2,), (2,)]
         assert trainer.class_ids == (0, 1)
-        assert trainer.rpn_reservoir.num_images == 10
-        assert trainer.detection_reservoir.num_images == 10
+        assert len(trainer.rpn_reservoir.image_ids) == 10
+        assert len(trainer.detection_reservoir.image_ids) == 10
         assert sorted(trainer.detection_reservoir.keys()) == [0, 1]
         assert (trainer.num_records, trainer.sequences) == (10, 1)
         got = quiet_train(trainer.add_sequence, second)

@@ -16,6 +16,7 @@ from oseg.segmentation import (
     predict_mask,
     train_online_segmentation,
 )
+from oseg.seeding import rng_for
 from oseg.synthetic import SyntheticWorld
 
 
@@ -43,6 +44,35 @@ def half_mask_record(s=14, true_pixels=98):
     features[..., 1] = 1.0 - labels.reshape(s, s)
     gt = FakeGt(0, Box(40.0, 40.0, 104.0, 104.0), features, labels.reshape(s, s))
     return FakeRecord(0, [gt])
+
+
+def reference_subsample_side(rows, fraction, rng):
+    """Reference per-side sampler: keep floor(fraction * count) rows,
+    at least one when any exist."""
+    count = rows.shape[0]
+    if count == 0:
+        return rows
+    keep = max(1, math.floor(fraction * count))
+    if keep >= count:
+        return rows
+    idx = rng.choice(count, size=keep, replace=False)
+    return rows[idx]
+
+
+def reference_training_sets(records, class_ids, fraction, seed):
+    pos = {n: [] for n in class_ids}
+    neg = {n: [] for n in class_ids}
+    for record in records:
+        for k, gt in enumerate(record.gt_objects):
+            if gt.class_id not in class_ids:
+                continue
+            flat = gt.mask_features.reshape(-1, gt.mask_features.shape[-1])
+            labels = gt.pixel_labels.ravel()
+            rng_pos = rng_for(seed, "seg-pixels", record.image_id, k, "pos")
+            rng_neg = rng_for(seed, "seg-pixels", record.image_id, k, "neg")
+            pos[gt.class_id].append(reference_subsample_side(flat[labels], fraction, rng_pos))
+            neg[gt.class_id].append(reference_subsample_side(flat[~labels], fraction, rng_neg))
+    return {n: (np.concatenate(pos[n]), np.concatenate(neg[n])) for n in class_ids}
 
 
 def small_config(sigma=0.5, lam=1e-4, **kw):
@@ -96,6 +126,18 @@ class TestSubsampling:
         for n, (pos, neg) in sets.items():
             np.testing.assert_allclose(pos, np.tile(protos[n], (pos.shape[0], 1)), atol=1e-12)
             np.testing.assert_allclose(neg, np.tile(bg, (neg.shape[0], 1)), atol=1e-12)
+
+    @pytest.mark.parametrize("fraction", [1e-3, 0.3, 1.0])
+    def test_matches_reference_sampler_bytes(self, fraction):
+        world = SyntheticWorld(class_names=["a", "b"], noise=0.2, seed=6, max_objects=2)
+        records = list(world.generate(10))
+        got = build_segmentation_training_sets(records, [0, 1], fraction, seed=9)
+        want = reference_training_sets(records, [0, 1], fraction, seed=9)
+        assert got.keys() == want.keys()
+        for n in want:
+            for mine, theirs in zip(got[n], want[n], strict=True):
+                assert mine.shape == theirs.shape
+                assert mine.tobytes() == theirs.tobytes()
 
 
 class TestTraining:
