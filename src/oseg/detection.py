@@ -29,27 +29,16 @@ POS_IOU = 0.6
 NEG_IOU = 0.3
 REG_LAM = 1e-6
 
-
-@dataclass(frozen=True)
-class DetectionConfig:
-    """Inference-time thresholds and suppression settings."""
-
-    score_threshold: float = 0.0
-    nms_iou: float = 0.3
-    max_detections: int = 100
-
-    def __post_init__(self):
-        if self.max_detections < 1:
-            raise ValueError("max_detections must be >= 1")
-        if not 0.0 <= self.nms_iou <= 1.0:
-            raise ValueError("nms_iou must be in [0, 1]")
+# inference: score cut, per-class suppression overlap and output cap
+SCORE_THRESHOLD = 0.0
+NMS_IOU = 0.3
+MAX_DETECTIONS = 100
 
 
 @dataclass
 class OnlineDetectionModel:
     classifiers: dict
     regressors: dict
-    config: DetectionConfig
 
     def __post_init__(self):
         if set(self.classifiers) != set(self.regressors):
@@ -131,8 +120,7 @@ def train_detection_from_reservoir(
     """Mine per-class classifiers from the reservoir and fit regressors.
 
     Unlike the proposal module, a class that cannot be trained is an
-    error: callers asked for it by name.  The model keeps the default
-    inference settings.
+    error: callers asked for it by name.
     """
     starved = [n for n, p in reservoir.positives.items() if p.shape[0] == 0]
     if starved:
@@ -144,20 +132,16 @@ def train_detection_from_reservoir(
         n: train_rls(reservoir.reg_features[n], reservoir.reg_targets[n], REG_LAM)
         for n in result.classifiers
     }
-    return OnlineDetectionModel(
-        classifiers=result.classifiers,
-        regressors=regressors,
-        config=DetectionConfig(),
-    )
+    return OnlineDetectionModel(result.classifiers, regressors)
 
 
 def detect(model: OnlineDetectionModel, record) -> list:
     """Classify and refine the record's regions; returns Detections, best first.
 
-    Each class scores every region independently; scores below the
-    threshold are dropped, the survivors' boxes are refined by the
-    class regressor, suppressed per class, then merged, sorted by
-    descending score and capped.
+    Each class scores every region independently; scores below
+    ``SCORE_THRESHOLD`` are dropped, the survivors' boxes are refined by
+    the class regressor, suppressed per class at ``NMS_IOU``, then
+    merged, sorted by descending score and capped at ``MAX_DETECTIONS``.
     """
     features, boxes = record.proposal_features, record.proposal_boxes
     detections: list[Detection] = []
@@ -165,7 +149,7 @@ def detect(model: OnlineDetectionModel, record) -> list:
         return detections
     for n in sorted(model.classifiers):
         scores = model.classifiers[n].decision_values(features)
-        keep = np.nonzero(scores >= model.config.score_threshold)[0]
+        keep = np.nonzero(scores >= SCORE_THRESHOLD)[0]
         if keep.size == 0:
             continue
         offsets = model.regressors[n].predict(features[keep])
@@ -173,7 +157,7 @@ def detect(model: OnlineDetectionModel, record) -> list:
         keep, refined = keep[ok], refined[ok]
         if keep.size == 0:
             continue
-        for i in nms(refined, scores[keep], model.config.nms_iou):
+        for i in nms(refined, scores[keep], NMS_IOU):
             detections.append(
                 Detection(
                     class_id=n,
@@ -183,4 +167,4 @@ def detect(model: OnlineDetectionModel, record) -> list:
                 )
             )
     detections.sort(key=lambda d: (-d.score, d.class_id, d.proposal_index))
-    return detections[: model.config.max_detections]
+    return detections[:MAX_DETECTIONS]

@@ -243,7 +243,7 @@ class AnchorGrid:
         return out
 
 
-def label_anchors(anchors, gts, pos_iou: float = 0.7, neg_iou: float = 0.3):
+def label_anchors(anchors, gts, pos_iou: float, neg_iou: float):
     """Assign a training label to every anchor against ground-truth boxes.
 
     An anchor is positive when its best IoU exceeds ``pos_iou``, negative

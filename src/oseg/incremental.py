@@ -152,7 +152,13 @@ class SampleReservoir:
                 per_image[image_id] = np.empty((0, self.feature_dim or 0))
 
     def update(self, records, labeler) -> None:
-        """Absorb one sequence: shrink old lists, ingest new images."""
+        """Absorb one sequence: shrink old lists, ingest new images.
+        All or nothing: a fork does the work and is adopted on success."""
+        fork = self.fork()
+        fork._update(records, labeler)
+        self.__dict__.update(fork.__dict__)
+
+    def _update(self, records, labeler) -> None:
         records, new_ids, quota = self._start(records)
         self._ingest(records, new_ids, labeler, quota)
 
@@ -217,8 +223,8 @@ class DetectionReservoir(SampleReservoir):
 
     buffers: dict = field(default_factory=dict)
 
-    def update(self, records, labeler) -> None:
-        """Absorb one sequence, drawing each new image's buffer first."""
+    def _update(self, records, labeler) -> None:
+        # each new image's buffer is drawn before its labels are ingested
         records, new_ids, quota = self._start(records)
         for image_id, record in zip(new_ids, records):
             rows, self.feature_dim = _as_features(

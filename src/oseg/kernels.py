@@ -60,6 +60,12 @@ class KernelClassifier:
     sigma: float
     lam: float
 
+    def __post_init__(self):
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
+
     def decision_values(self, x) -> np.ndarray:
         """Raw margin scores for a batch of feature vectors, shape (n,)."""
         return gaussian_kernel(x, self.centers, self.sigma) @ self.weights

@@ -43,11 +43,11 @@ class BootstrapConfig:
     ``num_centers`` is clamped to the training-set size at each refit.
     """
 
-    num_batches: int = 10
-    batch_size: int = 2000
-    num_centers: int = 1000
-    sigma: float = 5.0
-    lam: float = 1e-5
+    num_batches: int
+    batch_size: int
+    num_centers: int
+    sigma: float
+    lam: float
 
     def __post_init__(self):
         if self.num_batches < 1 or self.batch_size < 1 or self.num_centers < 1:

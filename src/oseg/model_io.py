@@ -5,11 +5,13 @@ length-prefixed blocks).  The header describes every scalar field and
 names each tensor by block index; blocks hold little-endian f64 data in
 header order, so identical models serialize to identical bytes.  Writes
 land in a temp file and are renamed into place atomically.
+
+Format version 2 keeps only what training produced; inference settings
+are constants of the head modules.  Non-finite tensors are malformed.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -17,14 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from oseg import binio
-from oseg.detection import DetectionConfig, OnlineDetectionModel
+from oseg.detection import OnlineDetectionModel
 from oseg.geometry import AnchorGrid
 from oseg.kernels import KernelClassifier, RlsRegressor
-from oseg.rpn import OnlineRpnModel, ProposalConfig
-from oseg.segmentation import OnlineSegmentationModel, SegmentationConfig
+from oseg.rpn import OnlineRpnModel
+from oseg.segmentation import OnlineSegmentationModel
 
 MAGIC = b"OSGM"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,11 @@ def _take_tensor(tree: dict, blocks, offset_of) -> np.ndarray:
         raise binio.FormatError(
             f"tensor block {index}: {len(raw)} bytes for shape {shape}",
             offset_of(index))
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    if not np.isfinite(arr).all():
+        raise binio.FormatError(f"tensor block {index} holds non-finite values",
+                                offset_of(index))
+    return arr
 
 
 def _classifier_from(tree: dict, blocks, offset_of) -> KernelClassifier:
@@ -124,7 +130,6 @@ def _header_tree(model: PipelineModel, sink: _TensorSink) -> dict:
         "class_names": list(model.class_names),
         "grid": _grid_tree(model.rpn.grid),
         "rpn": {
-            "config": dataclasses.asdict(model.rpn.config),
             "failures": [[k, str(v)] for k, v in
                          sorted(model.rpn.failures.items())],
             "classifiers": _bank_tree(model.rpn.classifiers,
@@ -133,14 +138,12 @@ def _header_tree(model: PipelineModel, sink: _TensorSink) -> dict:
                                      _regressor_tree, sink),
         },
         "detection": {
-            "config": dataclasses.asdict(model.detection.config),
             "classifiers": _bank_tree(model.detection.classifiers,
                                       _classifier_tree, sink),
             "regressors": _bank_tree(model.detection.regressors,
                                      _regressor_tree, sink),
         },
         "segmentation": {
-            "config": dataclasses.asdict(model.segmentation.config),
             "classifiers": _bank_tree(model.segmentation.classifiers,
                                       _classifier_tree, sink),
         },
@@ -210,7 +213,6 @@ def load_pipeline(path) -> PipelineModel:
                                    blocks, offset_of),
             regressors=_bank_from(rpn_tree["regressors"], _regressor_from,
                                   blocks, offset_of),
-            config=ProposalConfig(**rpn_tree["config"]),
             failures={int(k): v for k, v in rpn_tree["failures"]},
         )
         det_tree = header["detection"]
@@ -219,13 +221,11 @@ def load_pipeline(path) -> PipelineModel:
                                    blocks, offset_of),
             regressors=_bank_from(det_tree["regressors"], _regressor_from,
                                   blocks, offset_of),
-            config=DetectionConfig(**det_tree["config"]),
         )
         seg_tree = header["segmentation"]
         segmentation = OnlineSegmentationModel(
             classifiers=_bank_from(seg_tree["classifiers"], _classifier_from,
                                    blocks, offset_of),
-            config=SegmentationConfig(**seg_tree["config"]),
         )
         return PipelineModel(
             class_names=tuple(header["class_names"]), rpn=rpn,

@@ -38,20 +38,10 @@ NEG_IOU = 0.3
 REG_IOU = 0.7
 REG_LAM = 1e-6
 
-
-@dataclass(frozen=True)
-class ProposalConfig:
-    """Inference-time ranking and suppression settings."""
-
-    pre_nms_top_k: int = 1000
-    nms_iou: float = 0.7
-    post_nms_top_k: int = 300
-
-    def __post_init__(self):
-        if self.pre_nms_top_k < 1 or self.post_nms_top_k < 1:
-            raise ValueError("top-k limits must be >= 1")
-        if not 0.0 <= self.nms_iou <= 1.0:
-            raise ValueError("nms_iou must be in [0, 1]")
+# inference: score ranking, suppression overlap and proposal cap
+PRE_NMS_TOP_K = 1000
+NMS_IOU = 0.7
+POST_NMS_TOP_K = 300
 
 
 @dataclass
@@ -65,7 +55,6 @@ class OnlineRpnModel:
     grid: AnchorGrid
     classifiers: dict
     regressors: dict
-    config: ProposalConfig
     failures: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -125,9 +114,8 @@ def train_rpn_from_reservoir(
     """Mine classifiers from the reservoir and fit regressor banks.
 
     Batch layout and kernel hyper-parameters come from the reservoir's
-    own bootstrap config; the model keeps the default inference
-    settings.  Untrainable shapes are skipped with a warning and
-    recorded on the model.
+    own bootstrap config.  Untrainable shapes are skipped with a warning
+    and recorded on the model.
     """
     result = run_minibootstrap(reservoir, seed)
     for key, reason in result.failures.items():
@@ -140,7 +128,6 @@ def train_rpn_from_reservoir(
         grid=grid,
         classifiers=result.classifiers,
         regressors=regressors,
-        config=ProposalConfig(),
         failures=result.failures,
     )
 
@@ -149,8 +136,8 @@ def propose(model: OnlineRpnModel, record) -> list:
     """Score, refine and suppress every anchor; returns (Box, score) pairs.
 
     The list is sorted by descending score, holds at most
-    ``post_nms_top_k`` entries, and no two survivors overlap beyond the
-    configured NMS IoU.
+    ``POST_NMS_TOP_K`` entries, and no two survivors overlap beyond
+    ``NMS_IOU``.
     """
     grid = model.grid
     feats = _location_features(record, grid)
@@ -174,12 +161,12 @@ def propose(model: OnlineRpnModel, record) -> list:
     flat_scores = scores.reshape(-1)
     flat_scores[~valid.reshape(-1)] = -np.inf
     flat_boxes = boxes.reshape(-1, 4)
-    order = np.argsort(-flat_scores, kind="stable")[: model.config.pre_nms_top_k]
+    order = np.argsort(-flat_scores, kind="stable")[:PRE_NMS_TOP_K]
     order = order[np.isfinite(flat_scores[order])]
     if order.size == 0:
         return []
-    keep = nms(flat_boxes[order], flat_scores[order], model.config.nms_iou,
-               limit=model.config.post_nms_top_k)
+    keep = nms(flat_boxes[order], flat_scores[order], NMS_IOU,
+               limit=POST_NMS_TOP_K)
     return [
         (Box.from_array(flat_boxes[order[i]]), float(flat_scores[order[i]]))
         for i in keep

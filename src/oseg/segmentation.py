@@ -24,6 +24,9 @@ from .incremental import UntrainableClassError, subsample_rows
 from .kernels import train_kernel_classifier
 from .seeding import rng_for
 
+# inference: a pixel whose resized score reaches this is in the mask
+MASK_THRESHOLD = 0.0
+
 
 class UntrainedClassError(LookupError):
     """Mask prediction was asked for a class the model never trained."""
@@ -31,13 +34,12 @@ class UntrainedClassError(LookupError):
 
 @dataclass(frozen=True)
 class SegmentationConfig:
-    """Kernel hyper-parameters, subsample fraction and mask threshold."""
+    """Kernel hyper-parameters and the pixel subsample fraction."""
 
-    num_centers: int = 500
-    sigma: float = 5.0
-    lam: float = 1e-5
-    subsample: float = 0.3
-    threshold: float = 0.0
+    num_centers: int
+    sigma: float
+    lam: float
+    subsample: float
 
     def __post_init__(self):
         if not 0.0 < self.subsample <= 1.0:
@@ -49,7 +51,6 @@ class SegmentationConfig:
 @dataclass
 class OnlineSegmentationModel:
     classifiers: dict
-    config: SegmentationConfig
 
     @property
     def class_ids(self) -> tuple:
@@ -118,7 +119,7 @@ def train_online_segmentation(
             lam=config.lam,
             seed=rng_for(seed, "seg-centers", n),
         )
-    return OnlineSegmentationModel(classifiers=classifiers, config=config)
+    return OnlineSegmentationModel(classifiers)
 
 
 def extend_segmentation(
@@ -138,11 +139,11 @@ def extend_segmentation(
     if clash:
         raise ValueError(f"classes already trained: {clash}")
     if not new_class_ids:
-        return OnlineSegmentationModel(dict(model.classifiers), model.config)
+        return OnlineSegmentationModel(dict(model.classifiers))
     grown = train_online_segmentation(records, new_class_ids, config, seed)
     merged = dict(model.classifiers)
     merged.update(grown.classifiers)
-    return OnlineSegmentationModel(classifiers=merged, config=model.config)
+    return OnlineSegmentationModel(merged)
 
 
 def predict_mask(
@@ -155,8 +156,9 @@ def predict_mask(
     """Binary mask over the box's pixel window for one class.
 
     The s x s per-pixel scores are bilinearly resized to the window and
-    thresholded.  The result depends on the box only through its pixel
-    size, so translating a box translates its mask unchanged.
+    thresholded at ``MASK_THRESHOLD``.  The result depends on the box
+    only through its pixel size, so translating a box translates its
+    mask unchanged.
     """
     clf = model.classifiers.get(class_id)
     if clf is None:
@@ -171,4 +173,4 @@ def predict_mask(
     gx = (np.arange(width) + 0.5) * (s / width) - 0.5
     grid = np.meshgrid(gy, gx, indexing="ij")
     resized = map_coordinates(scores, grid, order=1, mode="nearest")
-    return BinaryMask((x1, y1), resized >= model.config.threshold)
+    return BinaryMask((x1, y1), resized >= MASK_THRESHOLD)

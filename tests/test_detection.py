@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oseg import detection
 from oseg.detection import (
-    DetectionConfig,
     detect,
     detection_incremental_update,
     detection_labeler,
@@ -53,21 +53,21 @@ def tags_of(rows):
 
 SMALL_POOL = BootstrapConfig(num_batches=4, batch_size=300, num_centers=200,
                              sigma=0.5, lam=1e-4)
+LARGE_POOL = BootstrapConfig(num_batches=10, batch_size=2000, num_centers=1000,
+                             sigma=5.0, lam=1e-5)
 
 
-def fill_reservoir(records, class_ids, config=None, seed=0):
+def fill_reservoir(records, class_ids, config=LARGE_POOL, seed=0):
     """Ingest one sequence in which every class is new."""
-    reservoir = DetectionReservoir(config=config or BootstrapConfig(), seed=seed)
+    reservoir = DetectionReservoir(config=config, seed=seed)
     detection_incremental_update(reservoir, records, class_ids, new_class_ids=class_ids)
     return reservoir
 
 
-def train_detector(records, class_ids, seed, threshold=0.0):
-    """The training core's detector path on one sequence, with the given
-    score threshold."""
+def train_detector(records, class_ids, seed):
+    """The training core's detector path on one sequence."""
     reservoir = fill_reservoir(records, class_ids, SMALL_POOL, seed)
-    model = train_detection_from_reservoir(reservoir, seed)
-    return dataclasses.replace(model, config=DetectionConfig(score_threshold=threshold))
+    return train_detection_from_reservoir(reservoir, seed)
 
 
 class TestLabeling:
@@ -203,7 +203,7 @@ class TestDetect:
             detections = detect(model, record)
             scores = [d.score for d in detections]
             assert scores == sorted(scores, reverse=True)
-            assert len(detections) <= model.config.max_detections
+            assert len(detections) <= detection.MAX_DETECTIONS
 
     def test_per_class_suppression(self):
         for record in self.test_records:
@@ -214,18 +214,18 @@ class TestDetect:
             for group in by_class.values():
                 for i, a in enumerate(group):
                     for b in group[i + 1:]:
-                        assert iou(a.box, b.box) <= self.model.config.nms_iou + 1e-12
+                        assert iou(a.box, b.box) <= detection.NMS_IOU + 1e-12
 
     def test_empty_proposals_empty_result(self):
         record = self.test_records[0]
         assert detect(self.model, with_proposals(record, slice(0))) == []
 
-    def test_high_threshold_silences(self):
+    def test_high_threshold_silences(self, monkeypatch):
+        monkeypatch.setattr(detection, "SCORE_THRESHOLD", 1e9)
         model = train_detector(
             list(self.world.generate(10, start_id=300)),
             [0, 1, 2],
             seed=0,
-            threshold=1e9,
         )
         assert detect(model, self.test_records[0]) == []
 

@@ -228,7 +228,7 @@ class TestAnchorGrid:
 class TestLabelAnchors:
     def test_threshold_rule(self):
         anchors = [(0, 0, 10, 10), (20, 20, 30, 30), (40, 40, 50, 50)]
-        labels, best_gt, best_iou = label_anchors(anchors, [(0, 0, 10, 10)])
+        labels, best_gt, best_iou = label_anchors(anchors, [(0, 0, 10, 10)], 0.7, 0.3)
         np.testing.assert_array_equal(labels, [1, -1, -1])
         assert best_gt[0] == 0
         assert best_iou[0] == pytest.approx(1.0)
@@ -236,7 +236,7 @@ class TestLabelAnchors:
     def test_forced_positive_below_threshold(self):
         anchors = [(0, 0, 10, 10), (20, 20, 30, 30)]
         # best IoU with the gt is 81/119 ~ 0.68 < 0.7, still forced positive
-        labels, _, best_iou = label_anchors(anchors, [(21, 21, 31, 31)])
+        labels, _, best_iou = label_anchors(anchors, [(21, 21, 31, 31)], 0.7, 0.3)
         np.testing.assert_array_equal(labels, [-1, 1])
         assert best_iou[1] == pytest.approx(81.0 / 119.0)
 
@@ -246,11 +246,11 @@ class TestLabelAnchors:
         # use two gts sharing one anchor to observe a genuine ignore
         anchors = [(0, 0, 10, 10), (0, 0, 12, 10)]
         gts = [(0, 0, 12, 10), (0, 0, 5, 10)]
-        labels, best_gt, _ = label_anchors(anchors, gts)
+        labels, best_gt, _ = label_anchors(anchors, gts, 0.7, 0.3)
         # anchor 1 matches gt 0 exactly; anchor 0 has IoU 10/12 with gt 0
         assert labels[1] == 1 and best_gt[1] == 0
         assert labels[0] == 1  # forced for gt 1 (IoU 0.5 is its best)
-        ignore_only = label_anchors(anchors, [gts[0]])[0]
+        ignore_only = label_anchors(anchors, [gts[0]], 0.7, 0.3)[0]
         assert ignore_only[1] == 1
 
     def test_every_gt_covered(self):
@@ -262,13 +262,13 @@ class TestLabelAnchors:
             gts[:, 2:] = np.minimum(gts[:, :2] + 150.0, 320.0)
             gts[:, 2] = np.maximum(gts[:, 2], gts[:, 0] + 8.0)
             gts[:, 3] = np.maximum(gts[:, 3], gts[:, 1] + 8.0)
-            labels, best_gt, best_iou = label_anchors(anchors, gts)
+            labels, best_gt, best_iou = label_anchors(anchors, gts, 0.7, 0.3)
             ovr = iou_matrix(anchors, gts)
             covered = set(ovr[labels == 1].argmax(axis=1).tolist())
             assert covered == set(range(len(gts)))
 
     def test_no_gts_all_negative(self):
-        labels, best_gt, best_iou = label_anchors([(0, 0, 10, 10)], np.zeros((0, 4)))
+        labels, best_gt, best_iou = label_anchors([(0, 0, 10, 10)], np.zeros((0, 4)), 0.7, 0.3)
         np.testing.assert_array_equal(labels, [-1])
         assert best_gt[0] == -1 and best_iou[0] == 0.0
 

@@ -191,6 +191,48 @@ class TestReservoirBookkeeping:
                 np.testing.assert_array_equal(x, y)
 
 
+def width_records(start, count, width=8):
+    """Images with 40 tagged negatives and 40 proposal rows each; the
+    first image of the set holds one positive."""
+    return [
+        FakeRecord(i, {0: (tagged_rows(i, 1 if i == start else 0, width) + 500,
+                           tagged_rows(i, 40, width), (), ())},
+                   proposal_features=tagged_rows(i, 40, width) - 100)
+        for i in range(start, start + count)
+    ]
+
+
+def reservoir_state(res) -> tuple:
+    """Everything an update may change, with arrays as bytes."""
+    return (
+        list(res.image_ids), res.updates, res.feature_dim,
+        {k: v.tobytes() for k, v in res.positives.items()},
+        {k: [a.tobytes() for a in res.negative_lists(k)] for k in res.keys()},
+        {k: a.tobytes() for k, a in getattr(res, "buffers", {}).items()},
+    )
+
+
+@pytest.mark.parametrize("cls", [SampleReservoir, DetectionReservoir])
+def test_failed_update_leaves_reservoir_unchanged(cls):
+    def filled():
+        res = cls(config=small_config(4, 100), seed=0)
+        res.update(width_records(0, 10), dict_labeler)
+        return res
+
+    res, clean = filled(), filled()
+    assert sum(a.shape[0] for a in res.negative_lists(0)) == 400
+    # the new quota of 4 rows per image would shrink the stored lists
+    bad = width_records(10, 89) + width_records(99, 1, width=9)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="feature width changed"):
+            res.update(bad, dict_labeler)
+        assert reservoir_state(res) == reservoir_state(clean)
+    good = width_records(10, 90)
+    res.update(good, dict_labeler)
+    clean.update(good, dict_labeler)
+    assert reservoir_state(res) == reservoir_state(clean)
+
+
 class TestDetectionBuffers:
     def make_detection_records(self, start, count, with_class):
         """Every image has 20 candidate rows; labeled negatives only when

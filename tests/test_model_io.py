@@ -6,9 +6,9 @@ import struct
 import numpy as np
 import pytest
 
-from oseg import pipeline
+from oseg import binio, pipeline
 from oseg.binio import FormatError
-from oseg.model_io import (MAGIC, PipelineModel, classifier_bytes,
+from oseg.model_io import (MAGIC, VERSION, PipelineModel, classifier_bytes,
                            load_pipeline, model_bytes, save_pipeline)
 from oseg.synthetic import SyntheticWorld
 
@@ -39,9 +39,6 @@ class TestRoundTrip:
         assert loaded.class_names == trained.class_names
         assert loaded.manifest == trained.manifest
         assert loaded.rpn.grid.anchor_shapes == trained.rpn.grid.anchor_shapes
-        assert loaded.rpn.config == trained.rpn.config
-        assert loaded.detection.config == trained.detection.config
-        assert loaded.segmentation.config == trained.segmentation.config
         assert set(loaded.detection.classifiers) == \
             set(trained.detection.classifiers)
         assert set(loaded.rpn.classifiers) == set(trained.rpn.classifiers)
@@ -122,11 +119,13 @@ class TestCorruption:
     def test_unsupported_version(self, trained, tmp_path):
         path = tmp_path / "model.oseg"
         save_pipeline(path, trained)
-        data = bytearray(path.read_bytes())
-        data[4:8] = struct.pack("<I", 99)
-        path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="version"):
-            load_pipeline(path)
+        for version in (1, 99):  # 1 carried per-head inference settings
+            data = bytearray(path.read_bytes())
+            data[4:8] = struct.pack("<I", version)
+            path.write_bytes(bytes(data))
+            with pytest.raises(FormatError,
+                               match=f"unsupported format version {version}"):
+                load_pipeline(path)
 
     def test_truncated_tensor_block(self, trained, tmp_path):
         path = tmp_path / "model.oseg"
@@ -173,10 +172,41 @@ class TestCorruption:
                     rejected += 1
         assert rejected > header_end  # most flips break the file
 
+    @pytest.mark.parametrize("name, class_id, value", [
+        ("weights", 0, np.nan), ("sigma", 1, np.inf), ("sigma", 1, -1.0),
+        ("lam", 0, np.nan), ("lam", 0, -1e-5)])
+    def test_corrupt_values_rejected(self, trained, tmp_path, name, class_id,
+                                     value):
+        path = tmp_path / "model.oseg"
+        save_pipeline(path, trained)
+        with open(path, "rb") as fh:
+            _, header = binio.read_preamble(fh, MAGIC, (VERSION,))
+            blocks = list(iter(lambda: binio.read_block(fh), None))
+        tree = dict(header["detection"]["classifiers"])[class_id]
+        if name == "weights":
+            index = tree[name]["block"]
+            weights = np.frombuffer(blocks[index], dtype="<f8").copy()
+            weights[0] = value
+            blocks[index] = weights.tobytes()
+        else:
+            tree[name] = value
+        offsets = []
+        with open(path, "wb") as fh:
+            binio.write_preamble(fh, MAGIC, VERSION, header)
+            for block in blocks:
+                offsets.append(fh.tell())
+                binio.write_block(fh, block)
+        with pytest.raises(FormatError) as caught:
+            load_pipeline(path)
+        if name == "weights":
+            assert f"tensor block {index} " in str(caught.value)
+            assert caught.value.offset == offsets[index]
+        else:
+            assert name in str(caught.value)
+
     def test_missing_header_keys(self, trained, tmp_path):
-        from oseg import binio
         path = tmp_path / "model.oseg"
         with open(path, "wb") as fh:
-            binio.write_preamble(fh, MAGIC, 1, {"class_names": ["a"]})
+            binio.write_preamble(fh, MAGIC, VERSION, {"class_names": ["a"]})
         with pytest.raises(FormatError, match="header"):
             load_pipeline(path)

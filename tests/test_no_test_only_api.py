@@ -1,5 +1,6 @@
-"""Every public name in ``src/oseg`` has a caller outside the tests, and
-no module imports a name it never uses.
+"""Every public name in ``src/oseg`` has a caller outside the tests,
+every config field is set outside the tests, and no module imports a
+name it never uses.
 
 A public function or class counts as used when its name occurs anywhere
 in ``src/oseg``, ``demos/`` or ``perfbench/`` other than its own
@@ -27,6 +28,11 @@ KEPT = {
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# config classes whose fields need no keyword construction, with the reason
+CONFIG_EXEMPT = {
+    "ProtocolConfig": "mirrors the JSON run config, built from its keys",
+}
 
 
 def _public_definitions(tree):
@@ -56,10 +62,14 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _non_test_files():
+    return [*SOURCE.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+            *(ROOT / "perfbench").glob("*.py")]
+
+
 def _non_test_references() -> tuple[Counter, Counter]:
     names, attributes = Counter(), Counter()
-    for path in [*SOURCE.glob("*.py"), *(ROOT / "demos").glob("*.py"),
-                 *(ROOT / "perfbench").glob("*.py")]:
+    for path in _non_test_files():
         found_names, found_attributes = _references(_parse(path))
         names.update(found_names)
         attributes.update(found_attributes)
@@ -83,6 +93,39 @@ def test_kept_names_exist_and_have_no_other_caller():
     assert set(KEPT) <= defined
     names, _ = _non_test_references()
     assert not [name for name in KEPT if names[name]]
+
+
+def _config_fields(tree):
+    """``(class, field, line)`` for every field of a ``*Config`` class."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+                and node.name not in CONFIG_EXEMPT):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign):
+                    yield node.name, item.target.id, item.lineno
+
+
+def _keywords_passed(tree):
+    """``(callee, keyword)`` for every keyword argument; ``**`` unpacking
+    names no keyword and is skipped."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            for keyword in node.keywords:
+                if keyword.arg is not None:
+                    yield callee, keyword.arg
+
+
+def test_every_config_field_is_set_outside_the_tests():
+    passed = {pair for path in _non_test_files()
+              for pair in _keywords_passed(_parse(path))}
+    unset = sorted(
+        f"{path.name}:{line} {cls}.{name}"
+        for path in SOURCE.glob("*.py")
+        for cls, name, line in _config_fields(_parse(path))
+        if (cls, name) not in passed
+    )
+    assert not unset, f"config fields only the tests set: {unset}"
 
 
 def _imported_names(tree):

@@ -392,20 +392,29 @@ class TestIncrementalTrainer:
         assert model_bytes(got.model) == model_bytes(want.model)
 
     def test_each_head_trains_with_its_own_settings(self, header,
-                                                    train_records):
+                                                    train_records,
+                                                    monkeypatch):
         cfg = ProtocolConfig(num_batches=3, batch_size=77, rpn_centers=11,
                              detection_centers=22, segmentation_centers=33,
                              pixel_fraction=0.5, rpn_sigma=1.0, rpn_lam=0.1,
                              detection_sigma=2.0, detection_lam=0.2,
                              segmentation_sigma=3.0, segmentation_lam=0.3)
+        seg_configs = []
+        train_segmentation = pipeline.train_online_segmentation
+
+        def recording(records, class_ids, config, seed):
+            seg_configs.append(config)
+            return train_segmentation(records, class_ids, config, seed)
+
+        monkeypatch.setattr(pipeline, "train_online_segmentation", recording)
         trainer = pipeline.IncrementalTrainer(header, cfg)
         model = quiet_train(trainer.add_sequence, train_records).model
         assert trainer.rpn_reservoir.config == BootstrapConfig(
             num_batches=3, batch_size=77, num_centers=11, sigma=1.0, lam=0.1)
         assert trainer.detection_reservoir.config == BootstrapConfig(
             num_batches=3, batch_size=77, num_centers=22, sigma=2.0, lam=0.2)
-        assert model.segmentation.config == SegmentationConfig(
-            num_centers=33, sigma=3.0, lam=0.3, subsample=0.5)
+        assert seg_configs == [SegmentationConfig(
+            num_centers=33, sigma=3.0, lam=0.3, subsample=0.5)]
         for head, want in ((model.rpn, (11, 1.0, 0.1)),
                            (model.detection, (22, 2.0, 0.2)),
                            (model.segmentation, (33, 3.0, 0.3))):

@@ -1,16 +1,15 @@
 """Proposal-module tests: labeling rules, training, ranking, suppression."""
 
-import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
+from oseg import rpn
 from oseg.geometry import AnchorGrid, Box, iou
 from oseg.incremental import RpnReservoir
 from oseg.minibootstrap import BootstrapConfig
 from oseg.rpn import (
-    ProposalConfig,
     propose,
     rpn_incremental_update,
     rpn_labeler,
@@ -53,18 +52,30 @@ SMALL_POOL = BootstrapConfig(num_batches=4, batch_size=300, num_centers=200,
                              sigma=0.5, lam=1e-4)
 
 
-def train_rpn(records, grid, seed, post_nms=50):
-    """The training core's proposal-module path on one sequence, with
-    smaller inference limits than the default."""
+def train_rpn(records, grid, seed):
+    """The training core's proposal-module path on one sequence."""
     reservoir = RpnReservoir(config=SMALL_POOL, seed=seed)
     rpn_incremental_update(reservoir, records, grid)
-    model = train_rpn_from_reservoir(reservoir, grid, seed)
-    limits = ProposalConfig(pre_nms_top_k=300, nms_iou=0.7, post_nms_top_k=post_nms)
-    return dataclasses.replace(model, config=limits)
+    return train_rpn_from_reservoir(reservoir, grid, seed)
+
+
+def post_nms(monkeypatch, cap):
+    """Smaller inference limits than the module's: the top 300 anchors
+    are suppressed down to at most ``cap`` proposals."""
+    monkeypatch.setattr(rpn, "PRE_NMS_TOP_K", 300)
+    monkeypatch.setattr(rpn, "POST_NMS_TOP_K", cap)
+
+
+@pytest.fixture(autouse=True)
+def small_limits(monkeypatch):
+    post_nms(monkeypatch, 50)
 
 
 def filled_reservoir(records, grid):
-    reservoir = RpnReservoir(config=BootstrapConfig(), seed=0)
+    reservoir = RpnReservoir(
+        config=BootstrapConfig(num_batches=10, batch_size=2000,
+                               num_centers=1000, sigma=5.0, lam=1e-5),
+        seed=0)
     rpn_incremental_update(reservoir, records, grid)
     return reservoir
 
@@ -137,7 +148,7 @@ class TestLabeling:
         for record in records:
             labeled = rpn_labeler(grid)(record)
             gts = np.array([g.box.as_array() for g in record.gt_objects])
-            _, _, best_iou = label_anchors(grid.anchor_boxes, gts)
+            _, _, best_iou = label_anchors(grid.anchor_boxes, gts, 0.7, 0.3)
             gt_boxes = [g.box for g in record.gt_objects]
             for a, (_, _, feats, targets) in labeled.items():
                 sel = best_iou[a :: grid.num_shapes] >= 0.7
@@ -225,13 +236,13 @@ class TestTraining:
 
 
 class TestPropose:
-    def single_shape_model(self, seed=7, post_nms=50):
+    def single_shape_model(self, seed=7):
         world = SyntheticWorld(
             class_names=["a", "b", "c"], noise=0.0, seed=seed,
             anchor_shapes=((64.0, 64.0),), max_objects=1,
         )
         train = list(world.generate(30))
-        model = train_rpn(train, world.grid, seed=0, post_nms=post_nms)
+        model = train_rpn(train, world.grid, seed=0)
         return world, model
 
     def test_top_proposal_overlaps_single_object(self):
@@ -254,9 +265,10 @@ class TestPropose:
             best3 = max(iou(box, record.gt_objects[0].box) for box, _ in ranked[:3])
             assert best3 > 0.9
 
-    def test_ranked_sorted_suppressed_capped(self):
+    def test_ranked_sorted_suppressed_capped(self, monkeypatch):
+        post_nms(monkeypatch, 20)
         world = SyntheticWorld(class_names=["a", "b"], noise=0.0, seed=9, max_objects=3)
-        model = train_rpn(list(world.generate(30)), world.grid, seed=0, post_nms=20)
+        model = train_rpn(list(world.generate(30)), world.grid, seed=0)
         for record in list(world.generate(5, start_id=300)):
             ranked = propose(model, record)
             assert 0 < len(ranked) <= 20
@@ -264,10 +276,11 @@ class TestPropose:
             assert scores == sorted(scores, reverse=True)
             for i, (a, _) in enumerate(ranked):
                 for b, _ in ranked[i + 1:]:
-                    assert iou(a, b) <= model.config.nms_iou + 1e-12
+                    assert iou(a, b) <= rpn.NMS_IOU + 1e-12
 
-    def test_post_nms_cap_of_one(self):
-        world, model = self.single_shape_model(post_nms=1)
+    def test_post_nms_cap_of_one(self, monkeypatch):
+        post_nms(monkeypatch, 1)
+        world, model = self.single_shape_model()
         record = next(world.generate(1, start_id=400))
         assert len(propose(model, record)) == 1
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oseg import segmentation
 from oseg.geometry import Box, mask_iou
 from oseg.incremental import UntrainableClassError
 from oseg.segmentation import (
@@ -75,8 +76,8 @@ def reference_training_sets(records, class_ids, fraction, seed):
     return {n: (np.concatenate(pos[n]), np.concatenate(neg[n])) for n in class_ids}
 
 
-def small_config(sigma=0.5, lam=1e-4, **kw):
-    return SegmentationConfig(num_centers=300, sigma=sigma, lam=lam, **kw)
+def small_config(sigma=0.5, lam=1e-4):
+    return SegmentationConfig(num_centers=300, sigma=sigma, lam=lam, subsample=0.3)
 
 
 class TestSubsampling:
@@ -210,11 +211,8 @@ class ScoreFromFirstFeature:
 
 
 class TestPredictMask:
-    def fake_model(self, threshold=0.0):
-        return OnlineSegmentationModel(
-            classifiers={0: ScoreFromFirstFeature()},
-            config=SegmentationConfig(threshold=threshold),
-        )
+    def fake_model(self):
+        return OnlineSegmentationModel(classifiers={0: ScoreFromFirstFeature()})
 
     def constant_features(self, value, s=14):
         out = np.zeros((s, s, 2))
@@ -228,10 +226,11 @@ class TestPredictMask:
         assert mask.bits.shape == (24, 40)
         assert mask.bits.all()
 
-    def test_infinite_threshold_empties_the_mask(self):
+    def test_infinite_threshold_empties_the_mask(self, monkeypatch):
+        monkeypatch.setattr(segmentation, "MASK_THRESHOLD", math.inf)
         box = Box(10.0, 20.0, 50.0, 44.0)
         mask = predict_mask(
-            self.fake_model(threshold=math.inf), 0, box, self.constant_features(1.0), (320, 320)
+            self.fake_model(), 0, box, self.constant_features(1.0), (320, 320)
         )
         assert not mask.bits.any()
 
