@@ -6,11 +6,10 @@ feature families consumed by training: the location feature map for
 proposal learning, per-proposal feature vectors for detection, and
 per-pixel feature grids with labels for each ground-truth object.
 
-In memory a record keeps its proposals as arrays (boxes, features and
-ground-truth flags, one row per proposal) with one source for the whole
-record.  On disk the format is unchanged: the record meta lists each
-proposal's box, flag and source, and the feature rows follow the
-location map in proposal order.
+A record keeps its proposals as arrays (boxes and features, one row per
+proposal) with one source for the whole record.  On disk the record meta
+lists the boxes and the source, and the feature rows follow the location
+map in proposal order.
 
 Tensors are stored as little-endian float64; masks and pixel labels as
 packed bits.  Reading is streaming: records are yielded one at a time in
@@ -33,7 +32,7 @@ from .binio import FormatError
 from .geometry import AnchorGrid, BinaryMask, Box, pixel_bounds
 
 DATASET_MAGIC = b"OSEG"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 _F8 = np.dtype("<f8")
 
@@ -54,8 +53,7 @@ class FeatureRecord:
     """Everything extracted from one image.
 
     The image's ``P`` candidate regions are stored as arrays: corner
-    boxes ``(P, 4)``, per-region feature vectors ``(P, det_dim)`` and
-    ``(P,)`` flags marking regions injected from ground-truth boxes.
+    boxes ``(P, 4)`` and per-region feature vectors ``(P, det_dim)``.
     ``proposal_source`` names the extraction that produced all of them:
     "stored" for the dataset's own pass, "adapted" for regions
     regenerated by a trained proposal module.
@@ -66,7 +64,6 @@ class FeatureRecord:
     rpn_map: np.ndarray
     proposal_boxes: np.ndarray
     proposal_features: np.ndarray
-    proposal_is_gt: np.ndarray
     proposal_source: str
     gt_objects: tuple[GtObject, ...]
 
@@ -82,12 +79,14 @@ class FeatureRecord:
             )
         if not np.isfinite(self.rpn_map).all():
             raise ValueError(f"record {self.image_id}: non-finite rpn map")
-        boxes, is_gt = self.proposal_boxes, self.proposal_is_gt
+        boxes = self.proposal_boxes
         count = len(boxes)
-        if (boxes.shape != (count, 4) or is_gt.shape != (count,)
-                or is_gt.dtype != np.bool_
+        if (boxes.shape != (count, 4)
                 or self.proposal_features.shape != (count, header.det_dim)):
             raise ValueError(f"record {self.image_id}: bad proposal arrays")
+        if self.proposal_source not in ("stored", "adapted"):
+            raise ValueError(f"record {self.image_id}: unknown proposal "
+                             f"source {self.proposal_source!r}")
         if not np.isfinite(self.proposal_features).all():
             raise ValueError(f"record {self.image_id}: non-finite proposal")
         if not ((boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])).all():
@@ -187,11 +186,8 @@ def _pack_record(record: FeatureRecord) -> bytes:
         "image_id": record.image_id,
         "image_size": list(record.image_size),
         "map_shape": list(record.rpn_map.shape),
-        "proposals": [
-            {"box": box, "is_gt": is_gt, "source": record.proposal_source}
-            for box, is_gt in zip(record.proposal_boxes.tolist(),
-                                  record.proposal_is_gt.tolist())
-        ],
+        "proposal_boxes": record.proposal_boxes.tolist(),
+        "proposal_source": record.proposal_source,
         "gts": [
             {
                 "class_id": g.class_id,
@@ -237,16 +233,11 @@ def _unpack_record(payload: bytes, header: DatasetHeader, offset: int) -> Featur
 
     map_shape = tuple(int(v) for v in meta["map_shape"])
     rpn_map = take(int(np.prod(map_shape)), _F8, "rpn map").reshape(map_shape)
-    proposals = meta["proposals"]
-    count = len(proposals)
+    listed = meta["proposal_boxes"]
+    count = len(listed)
     features = take(count * header.det_dim, _F8, "proposal features")
     # ``validate`` checks the shape of what the meta lists
-    boxes = np.array([p["box"] for p in proposals] or np.empty((0, 4)),
-                     dtype=np.float64)
-    sources = {str(p["source"]) for p in proposals}
-    if len(sources) > 1:
-        raise FormatError(f"one record lists proposal sources {sorted(sources)}",
-                          offset)
+    boxes = np.array(listed or np.empty((0, 4)), dtype=np.float64)
     s = header.mask_grid
     gts = []
     for g in meta["gts"]:
@@ -275,10 +266,7 @@ def _unpack_record(payload: bytes, header: DatasetHeader, offset: int) -> Featur
         rpn_map=rpn_map.copy(),
         proposal_boxes=boxes,
         proposal_features=features.reshape(count, header.det_dim).copy(),
-        proposal_is_gt=np.array([bool(p["is_gt"]) for p in proposals], dtype=bool),
-        # a record without proposals lists no source; it reads as the
-        # dataset's own extraction
-        proposal_source=sources.pop() if sources else "stored",
+        proposal_source=meta["proposal_source"],
         gt_objects=tuple(gts),
     )
 
@@ -287,19 +275,13 @@ def write_dataset(path, header: DatasetHeader, records: Iterable[FeatureRecord])
     """Write header and records; returns the record count.
 
     Records are validated against the header before anything is written
-    for them, so a failure leaves a prefix of valid records.  The source
-    is stored per proposal, so a record without proposals reads back as
-    "stored"; one from another source is refused.
+    for them, so a failure leaves a prefix of valid records.
     """
     count = 0
     with open(path, "wb") as fh:
         binio.write_preamble(fh, DATASET_MAGIC, DATASET_VERSION, header.to_json())
         for record in records:
             record.validate(header)
-            if not len(record.proposal_boxes) and record.proposal_source != "stored":
-                raise ValueError(
-                    f"record {record.image_id}: a record without proposals "
-                    f"cannot keep source {record.proposal_source!r} on disk")
             binio.write_block(fh, _pack_record(record))
             count += 1
     return count

@@ -108,6 +108,8 @@ class ProtocolConfig:
 
     @staticmethod
     def from_json(tree: dict) -> "ProtocolConfig":
+        if not isinstance(tree, dict):
+            raise ValueError(f"a config must be a JSON object, got {tree!r}")
         known = {f.name for f in dataclasses.fields(ProtocolConfig)}
         extra = set(tree) - known
         if extra:
@@ -124,25 +126,29 @@ def _module_seed(seed: int, tag: str) -> int:
 class TimingPhase:
     name: str
     seconds: float
-    overlappable: bool = False
+
+    @property
+    def overlappable(self) -> bool:
+        """Only the first extraction pass can run during acquisition."""
+        return self.name == EXTRACTION_1
 
 
 @dataclass
 class TimingLedger:
     """Per-phase wall (or modeled) times of one training run.
 
-    A phase flagged overlappable runs concurrently with data acquisition
-    in stream mode and then stops counting toward the training time.
+    An overlappable phase runs concurrently with data acquisition in
+    stream mode and then stops counting toward the training time.
     """
 
     phases: list = field(default_factory=list)
-    extraction_passes: int = 0
 
-    def add(self, name: str, seconds: float, overlappable: bool = False,
-            extraction: bool = False) -> None:
-        self.phases.append(TimingPhase(name, float(seconds), overlappable))
-        if extraction:
-            self.extraction_passes += 1
+    @property
+    def extraction_passes(self) -> int:
+        return sum(p.name in (EXTRACTION_1, EXTRACTION_2) for p in self.phases)
+
+    def add(self, name: str, seconds: float) -> None:
+        self.phases.append(TimingPhase(name, float(seconds)))
 
     def total_seconds(self) -> float:
         return sum(p.seconds for p in self.phases)
@@ -164,11 +170,10 @@ class TimingLedger:
 
 
 @contextmanager
-def _timed(ledger: TimingLedger, name: str, overlappable: bool = False,
-           extraction: bool = False):
+def _timed(ledger: TimingLedger, name: str):
     start = time.perf_counter()
     yield
-    ledger.add(name, time.perf_counter() - start, overlappable, extraction)
+    ledger.add(name, time.perf_counter() - start)
 
 
 @dataclass(frozen=True)
@@ -289,7 +294,7 @@ def _train_core(header: DatasetHeader, records, config: ProtocolConfig,
         detection_incremental_update(det_reservoir, records, class_ids,
                                      new_class_ids)
 
-    with _timed(ledger, EXTRACTION_1, overlappable=True, extraction=True):
+    with _timed(ledger, EXTRACTION_1):
         rpn_incremental_update(rpn_reservoir, records, header.grid)
         if featurizer is None:
             fill_detection(records)
@@ -297,7 +302,7 @@ def _train_core(header: DatasetHeader, records, config: ProtocolConfig,
         rpn_model = train_rpn_from_reservoir(rpn_reservoir, header.grid,
                                              _module_seed(config.seed, "rpn"))
     if featurizer is not None:
-        with _timed(ledger, EXTRACTION_2, extraction=True):
+        with _timed(ledger, EXTRACTION_2):
             records = adapt_records(rpn_model, records, featurizer)
         _check_sources(records, "adapted")
     with _timed(ledger, DETECTION_TRAINING):
@@ -358,7 +363,6 @@ def adapt_records(rpn_model, records, featurizer):
             record,
             proposal_boxes=box_array(boxes),
             proposal_features=featurizer.detection(record.image_id, boxes),
-            proposal_is_gt=np.zeros(len(boxes), dtype=bool),
             proposal_source="adapted"))
     return adapted
 
@@ -506,23 +510,15 @@ def simulate_stream(header: DatasetHeader, records, stream_fps: float,
     extraction_seconds = num_frames / extraction_fps
     residual = stream_residual(num_frames, stream_fps, extraction_fps)
 
+    # the serial second pass re-featurizes every frame after adaptation,
+    # so it is modeled at extraction speed and never overlaps the stream
+    modeled = {ACQUISITION: stream_seconds, EXTRACTION_1: extraction_seconds,
+               EXTRACTION_2: extraction_seconds}
     ledger = TimingLedger()
-    ledger.add(ACQUISITION, stream_seconds, overlappable=True)
-    ledger.add(EXTRACTION_1, extraction_seconds, overlappable=True,
-               extraction=True)
-    if residual > 0.0:
-        ledger.add(BACKLOG, residual)
     for phase in result.ledger.phases:
-        if phase.name in (ACQUISITION, EXTRACTION_1):
-            continue
-        if phase.name == EXTRACTION_2:
-            # the serial second pass re-featurizes every frame after
-            # adaptation, so it is modeled at extraction speed and never
-            # overlaps the stream
-            ledger.add(EXTRACTION_2, num_frames / extraction_fps,
-                       overlappable=False, extraction=True)
-            continue
-        ledger.add(phase.name, phase.seconds, phase.overlappable)
+        ledger.add(phase.name, modeled.get(phase.name, phase.seconds))
+        if phase.name == EXTRACTION_1 and residual > 0.0:
+            ledger.add(BACKLOG, residual)
     return StreamResult(model=result.model, ledger=ledger,
                         num_frames=num_frames,
                         stream_seconds=stream_seconds,
@@ -540,20 +536,20 @@ def infer(model: PipelineModel, record, featurizer=None,
     With ``use_stored_proposals`` the detector runs on the proposals
     stored in the record instead of the proposal module's output; mask
     features always come from the featurizer because refined boxes never
-    exist in the store.  ``with_masks=False`` yields box-only predictions
-    and is the one combination that works without a featurizer.
+    exist in the store.  ``with_masks=False`` yields box-only predictions;
+    with stored proposals it is the one combination that works without a
+    featurizer, and any other is refused before any work.
     """
+    if featurizer is None and (with_masks or not use_stored_proposals):
+        raise ValueError("only box-only inference on stored proposals runs "
+                         "without a featurizer")
     if not use_stored_proposals:
-        if featurizer is None:
-            raise ValueError("proposal featurization needs a featurizer")
         record = adapt_records(model.rpn, [record], featurizer)[0]
     detections = detect(model.detection, record)
     predictions = []
     for d in detections:
         mask = None
         if with_masks:
-            if featurizer is None:
-                raise ValueError("mask prediction needs a featurizer")
             mask_features = featurizer.mask(record.image_id, d.box)
             mask = predict_mask(model.segmentation, d.class_id, d.box,
                                 mask_features, record.image_size)

@@ -319,16 +319,14 @@ class SyntheticWorld:
 
     _IOU_BANDS = ((0.65, 0.9), (0.35, 0.55), (0.05, 0.25))
 
-    def _stored_proposals(self, image_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Boxes, region features and ground-truth flags of the stored
-        proposals: the ground-truth boxes first, then jittered and
-        background boxes."""
+    def _stored_proposals(self, image_id: int) -> tuple[np.ndarray, np.ndarray]:
+        """Boxes and region features of the stored proposals: the
+        ground-truth boxes first, then jittered and background boxes."""
         rng = rng_for(self.seed, "proposals", image_id)
         objects = self.layout(image_id)
         boxes: list[Box] = []
         if self.include_gt_proposals:
             boxes.extend(obj.box for obj in objects)
-        num_gt = len(boxes)
         for obj in objects:
             for k in range(self.proposals_per_gt):
                 lo, hi = self._IOU_BANDS[k % len(self._IOU_BANDS)]
@@ -348,7 +346,7 @@ class SyntheticWorld:
                     break
         # featurizing draws nothing from ``rng``, so it can run last
         feats = self.detection_features(image_id, boxes)
-        return box_array(boxes), feats, np.arange(len(boxes)) < num_gt
+        return box_array(boxes), feats
 
     def render_record(self, image_id: int) -> FeatureRecord:
         objects = self.layout(image_id)
@@ -366,14 +364,13 @@ class SyntheticWorld:
                     pixel_labels=grid_bits,
                 )
             )
-        boxes, feats, is_gt = self._stored_proposals(image_id)
+        boxes, feats = self._stored_proposals(image_id)
         return FeatureRecord(
             image_id=int(image_id),
             image_size=tuple(self.image_size),
             rpn_map=self.rpn_map(image_id),
             proposal_boxes=boxes,
             proposal_features=feats,
-            proposal_is_gt=is_gt,
             proposal_source="stored",
             gt_objects=tuple(gts),
         )

@@ -123,6 +123,19 @@ class TestTrain:
         assert f"error: {next(iter(tree))}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["5", "null", "[1]", '"x"'])
+    def test_config_that_is_not_an_object_fails(self, work, tmp_path, capsys,
+                                                text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        out = tmp_path / "m.oseg"
+        code = run("train", "--dataset", str(work / "train.oseg"),
+                   "--out", str(out), "--config", str(cfg))
+        assert code == 2
+        assert "error: a config must be a JSON object" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_fails(self, tmp_path, capsys):
         code = run("train", "--dataset", str(tmp_path / "nope.oseg"),
                    "--out", str(tmp_path / "m.oseg"))

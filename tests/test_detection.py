@@ -42,7 +42,6 @@ def with_proposals(record, index):
         record,
         proposal_boxes=record.proposal_boxes[index],
         proposal_features=record.proposal_features[index],
-        proposal_is_gt=record.proposal_is_gt[index],
     )
 
 

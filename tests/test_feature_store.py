@@ -39,7 +39,7 @@ def records_equal(a, b) -> bool:
         return False
     if a.proposal_source != b.proposal_source:
         return False
-    for name in ("proposal_boxes", "proposal_features", "proposal_is_gt"):
+    for name in ("proposal_boxes", "proposal_features"):
         x, y = getattr(a, name), getattr(b, name)
         if x.dtype != y.dtype or not np.array_equal(x, y):
             return False
@@ -186,7 +186,7 @@ def tensor_regions(offset, payload, header) -> list:
     meta, blob = split_payload(payload)
     s = header.mask_grid
     sizes = [8 * int(np.prod(meta["map_shape"])),
-             8 * len(meta["proposals"]) * header.det_dim]
+             8 * len(meta["proposal_boxes"]) * header.det_dim]
     for g in meta["gts"]:
         mh, mw = g["mask_shape"]
         sizes += [-(-mh * mw // 8), 8 * s * s * header.seg_dim, -(-s * s // 8)]
@@ -251,18 +251,17 @@ def edit_meta(path, index, edit) -> int:
     return offset
 
 
-def set_proposal(index, key, value):
-    def edit(meta):
-        meta["proposals"][index][key] = value
-    return edit
+def degenerate_first_box(meta):
+    meta["proposal_boxes"][0] = [10.0, 10.0, 10.0, 20.0]
 
 
 @pytest.mark.parametrize("edit, message", [
     (lambda meta: meta["gts"][0].update(class_id=7), "class out of range"),
     (lambda meta: meta.update(image_size=[228, 128]), "image size mismatch"),
-    (set_proposal(1, "source", "adapted"), "proposal sources"),
-    (set_proposal(0, "box", [10.0, 10.0, 10.0, 20.0]), "degenerate"),
-], ids=["class-id", "image-size", "mixed-source", "degenerate-box"])
+    (degenerate_first_box, "degenerate"),
+    (lambda meta: meta.update(proposal_source="stosed"),
+     "unknown proposal source 'stosed'"),
+], ids=["class-id", "image-size", "degenerate-box", "unknown-source"])
 def test_record_breaking_the_header_contract_is_a_format_error(tmp_path, edit,
                                                                message):
     path = tmp_path / "d.oseg"
@@ -306,25 +305,38 @@ def test_validation_rejects_bad_map_shape(tmp_path):
         write_dataset(tmp_path / "d.oseg", world.header(), [bad])
 
 
-def test_record_without_proposals_keeps_its_source_or_is_refused(tmp_path):
-    # the file stores the source per proposal: with none listed, a record
-    # reads back as "stored", so any other source cannot be written
+def test_record_without_proposals_keeps_its_source(tmp_path):
     world = small_world()
     header, path = world.header(), tmp_path / "d.oseg"
-    record = world.render_record(3)
-    adapted = dataclasses.replace(record, proposal_source="adapted")
-    write_dataset(path, header, [adapted])
-    assert records_equal(load_dataset(path)[1][0], adapted)
+    adapted = dataclasses.replace(world.render_record(3),
+                                  proposal_source="adapted")
     empty = dataclasses.replace(
-        record,
-        proposal_boxes=record.proposal_boxes[:0],
-        proposal_features=record.proposal_features[:0],
-        proposal_is_gt=record.proposal_is_gt[:0],
+        adapted,
+        proposal_boxes=adapted.proposal_boxes[:0],
+        proposal_features=adapted.proposal_features[:0],
     )
-    write_dataset(path, header, [empty])
-    assert records_equal(load_dataset(path)[1][0], empty)
-    with pytest.raises(ValueError, match="record 3"):
-        write_dataset(path, header, [dataclasses.replace(empty, proposal_source="adapted")])
+    for record in (adapted, empty,
+                   dataclasses.replace(empty, proposal_source="stored")):
+        write_dataset(path, header, [record])
+        assert records_equal(load_dataset(path)[1][0], record)
+
+
+def test_unknown_source_is_refused_on_write(tmp_path):
+    world = small_world()
+    record = dataclasses.replace(world.render_record(3),
+                                 proposal_source="oracle")
+    with pytest.raises(ValueError, match="record 3: unknown proposal source"):
+        write_dataset(tmp_path / "d.oseg", world.header(), [record])
+
+
+def test_version_1_file_is_refused(tmp_path):
+    path = tmp_path / "d.oseg"
+    generate_dataset(path, small_world(), 1)
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="unsupported format version 1"):
+        read_dataset(path)
 
 
 def test_header_round_trip_json():
@@ -545,15 +557,14 @@ def test_proposals_cover_iou_bands():
     for image_id in range(5):
         record = world.render_record(image_id)
         gt_boxes = np.stack([g.box.as_array() for g in record.gt_objects])
-        jittered = record.proposal_boxes[~record.proposal_is_gt]
+        # the ground-truth boxes lead the stored proposals
+        assert np.array_equal(record.proposal_boxes[:len(gt_boxes)], gt_boxes)
+        jittered = record.proposal_boxes[len(gt_boxes):]
         assert len(jittered)
         best = iou_matrix(jittered, gt_boxes).max(axis=1)
         assert any(v > 0.6 for v in best)
         assert any(0.3 < v < 0.6 for v in best)
         assert any(v < 0.3 for v in best)
-        for box, is_gt, g in zip(record.proposal_boxes, record.proposal_is_gt,
-                                 record.gt_objects):
-            assert is_gt and Box.from_array(box) == g.box
 
 
 def test_gt_masks_inside_boxes():
@@ -581,6 +592,8 @@ def test_world_header_round_trip():
     record_a = world.render_record(5)
     record_b = clone.render_record(5)
     assert records_equal(record_a, record_b)
+    for g in record_b.gt_objects:
+        assert (record_b.proposal_boxes == g.box.as_array()).all(axis=1).any()
 
 
 def test_from_header_rejects_non_synthetic():

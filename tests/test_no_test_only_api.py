@@ -149,3 +149,21 @@ def test_no_unused_imports():
                        for name, line in _imported_names(tree)
                        if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_every_record_field_is_read_outside_the_store():
+    # the store writes and validates every field, and the oracle fills
+    # them, so only a read elsewhere shows that a field is used
+    fields = [(node.name, item.target.id)
+              for node in ast.walk(_parse(SOURCE / "feature_store.py"))
+              if isinstance(node, ast.ClassDef)
+              and node.name in ("FeatureRecord", "GtObject")
+              for item in node.body if isinstance(item, ast.AnnAssign)]
+    read = {node.attr for path in SOURCE.glob("*.py")
+            if path.name not in ("feature_store.py", "synthetic.py")
+            for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f"{cls}.{name}" for cls, name in fields
+                    if name not in read)
+    assert not unread, f"record fields read only by the store: {unread}"

@@ -150,9 +150,9 @@ class TestTimingLedger:
     def test_phase_accounting(self):
         ledger = TimingLedger()
         ledger.add(ACQUISITION, 10.0)
-        ledger.add(EXTRACTION_1, 3.0, overlappable=True, extraction=True)
+        ledger.add(EXTRACTION_1, 3.0)
         ledger.add("rpn-training", 2.0)
-        ledger.add(EXTRACTION_2, 4.0, extraction=True)
+        ledger.add(EXTRACTION_2, 4.0)
         assert ledger.extraction_passes == 2
         assert ledger.total_seconds() == 19.0
         assert ledger.post_acquisition_seconds() == 9.0
@@ -315,7 +315,6 @@ class TestAdaptRecords:
             assert after.gt_objects is before.gt_objects
             assert len(after.proposal_boxes)
             assert after.proposal_source == "adapted"
-            assert not after.proposal_is_gt.any()
             after.validate(header)
 
     def test_features_come_from_the_featurizer(self, ours, train_records,
@@ -555,6 +554,15 @@ class TestInfer:
             pipeline.infer(ours.model, test_records[0],
                            use_stored_proposals=True)
 
+    def test_featurizer_required_whatever_the_record_holds(self, ours,
+                                                           test_records):
+        record = test_records[0]
+        empty = dataclasses.replace(
+            record, proposal_boxes=record.proposal_boxes[:0],
+            proposal_features=record.proposal_features[:0])
+        with pytest.raises(ValueError, match="featurizer"):
+            pipeline.infer(ours.model, empty, use_stored_proposals=True)
+
 
 class TestFeaturizer:
     def test_header_rebuild_matches_live_world(self, world, header,
@@ -569,8 +577,10 @@ class TestFeaturizer:
 
     def test_matches_stored_gt_features(self, test_records, featurizer):
         record = test_records[0]
-        assert record.proposal_is_gt.any()
-        for box, feature in zip(record.proposal_boxes[record.proposal_is_gt],
-                                record.proposal_features[record.proposal_is_gt]):
-            want = featurizer.detection(record.image_id, [Box.from_array(box)])[0]
-            assert np.allclose(feature, want)
+        assert record.gt_objects
+        for g in record.gt_objects:
+            # each ground-truth box is stored once among the proposals
+            (row,) = np.flatnonzero(
+                (record.proposal_boxes == g.box.as_array()).all(axis=1))
+            want = featurizer.detection(record.image_id, [g.box])[0]
+            assert np.allclose(record.proposal_features[row], want)
