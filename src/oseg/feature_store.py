@@ -139,6 +139,9 @@ class DatasetHeader:
             raise ValueError("class names must be unique")
         if min(self.rpn_dim, self.det_dim, self.seg_dim, self.mask_grid) < 1:
             raise ValueError("dimensions must be positive")
+        if not isinstance(self.generator, (dict, type(None))):
+            raise ValueError(f"generator must be an object or null, "
+                             f"got {self.generator!r}")
         object.__setattr__(
             self,
             "grid",

@@ -4,14 +4,13 @@ Two protocols build the same three on-line modules from a dataset of
 pre-extracted features.  ``ours`` makes a single pass and trains the
 detector on the proposals stored with the dataset; ``ours_serial`` first
 trains the proposal module, then featurizes its own proposals in a second
-pass so the detector sees adapted regions.  Both protocols and
-``IncrementalTrainer`` run one training core: it fills the per-image
-reservoirs, where each module's labeler yields the classification and
-the regression samples of a record in one pass, mines the proposal
-module and the detector from them, and trains or extends segmentation.
-Stream mode converts record counts and declared FPS figures into a
-deterministic backlog calculation instead of measuring hardware-bound
-extraction speed.
+pass so the detector sees adapted regions.  ``IncrementalTrainer`` is
+the one training driver: a run of either protocol is the first sequence
+of a fresh trainer, which fills the per-image reservoirs, mines the
+proposal module and the detector from them, and trains or extends
+segmentation.  Stream mode converts record counts and declared FPS
+figures into a deterministic backlog calculation instead of measuring
+hardware-bound extraction speed.
 """
 
 from __future__ import annotations
@@ -219,127 +218,19 @@ def versions_block() -> dict:
 
 
 def build_manifest(config: ProtocolConfig, header: DatasetHeader,
-                   num_records: int, dataset_hash=None) -> dict:
+                   num_records: int, sequences: int,
+                   dataset_hash=None) -> dict:
     """Reproducibility manifest: everything needed to re-run, no clocks."""
     return {
         "config": config.to_json(),
         "seed": config.seed,
         "protocol": config.protocol,
         "num_records": num_records,
+        "sequences": sequences,
         "class_names": list(header.class_names),
         "dataset_sha256": dataset_hash,
         "versions": versions_block(),
     }
-
-
-def _materialize(records, ledger: TimingLedger):
-    with _timed(ledger, ACQUISITION):
-        out = list(records)
-    if not out:
-        raise ValueError("dataset holds no records")
-    return out
-
-
-def _present_class_ids(records) -> list:
-    ids = sorted({g.class_id for r in records for g in r.gt_objects})
-    if not ids:
-        raise ValueError("dataset holds no ground-truth objects")
-    return ids
-
-
-def _check_sources(records, expected: str) -> None:
-    for record in records:
-        if record.proposal_source != expected:
-            raise ValueError(
-                f"image {record.image_id}: proposal source "
-                f"{record.proposal_source!r}, expected {expected!r}")
-
-
-def _fresh_reservoirs(config: ProtocolConfig) -> tuple:
-    def pool(centers, sigma, lam):
-        return BootstrapConfig(num_batches=config.num_batches,
-                               batch_size=config.batch_size,
-                               num_centers=centers, sigma=sigma, lam=lam)
-
-    return (RpnReservoir(config=pool(config.rpn_centers, config.rpn_sigma,
-                                     config.rpn_lam),
-                         seed=_module_seed(config.seed, "rpn")),
-            DetectionReservoir(config=pool(config.detection_centers,
-                                           config.detection_sigma,
-                                           config.detection_lam),
-                               seed=_module_seed(config.seed, "detection")))
-
-
-def _train_core(header: DatasetHeader, records, config: ProtocolConfig,
-                ledger: TimingLedger, reservoirs, class_ids, new_class_ids,
-                segmentation=None, featurizer=None):
-    """The training protocol behind both protocols and the incremental
-    trainer.
-
-    Fills forks of ``reservoirs`` with ``records``, mines the proposal
-    module, then the detector over ``class_ids``, and trains segmentation
-    classifiers for ``new_class_ids``, added to ``segmentation`` when one
-    is given.  A ``featurizer`` selects the serial protocol: the detector
-    and segmentation then train on the records adapted by the freshly
-    mined proposal module.  The given reservoirs are never changed, so a
-    caller that keeps the results only after this returns is left as it
-    was when any module fails to train.
-
-    Returns ``((rpn_reservoir, detection_reservoir), (rpn, detection,
-    segmentation))``.
-    """
-    rpn_reservoir, det_reservoir = (r.fork() for r in reservoirs)
-
-    def fill_detection(records):
-        detection_incremental_update(det_reservoir, records, class_ids,
-                                     new_class_ids)
-
-    with _timed(ledger, EXTRACTION_1):
-        rpn_incremental_update(rpn_reservoir, records, header.grid)
-        if featurizer is None:
-            fill_detection(records)
-    with _timed(ledger, RPN_TRAINING):
-        rpn_model = train_rpn_from_reservoir(rpn_reservoir, header.grid,
-                                             _module_seed(config.seed, "rpn"))
-    if featurizer is not None:
-        with _timed(ledger, EXTRACTION_2):
-            records = adapt_records(rpn_model, records, featurizer)
-        _check_sources(records, "adapted")
-    with _timed(ledger, DETECTION_TRAINING):
-        if featurizer is not None:
-            # the adapted records exist only after pass 2, so filling the
-            # reservoir from them counts as detection training
-            fill_detection(records)
-        det_model = train_detection_from_reservoir(
-            det_reservoir, _module_seed(config.seed, "detection"))
-    with _timed(ledger, SEGMENTATION_TRAINING):
-        seg_config = SegmentationConfig(
-            num_centers=config.segmentation_centers,
-            sigma=config.segmentation_sigma, lam=config.segmentation_lam,
-            subsample=config.pixel_fraction)
-        seg_seed = _module_seed(config.seed, "segmentation")
-        if segmentation is None:
-            segmentation = train_online_segmentation(
-                records, new_class_ids, seg_config, seg_seed)
-        else:
-            segmentation = extend_segmentation(
-                segmentation, records, new_class_ids, seg_config, seg_seed)
-    return (rpn_reservoir, det_reservoir), (rpn_model, det_model,
-                                            segmentation)
-
-
-def _train_once(header: DatasetHeader, records, config: ProtocolConfig,
-                dataset_hash, featurizer=None) -> TrainResult:
-    ledger = TimingLedger()
-    records = _materialize(records, ledger)
-    _check_sources(records, "stored")
-    class_ids = _present_class_ids(records)
-    _, heads = _train_core(header, records, config, ledger,
-                           _fresh_reservoirs(config), class_ids, class_ids,
-                           featurizer=featurizer)
-    manifest = build_manifest(config, header, len(records), dataset_hash)
-    model = PipelineModel(header.class_names, *heads, manifest=manifest)
-    return TrainResult(model, ledger)
 
 
 def train_ours(header: DatasetHeader, records, config: ProtocolConfig,
@@ -350,8 +241,8 @@ def train_ours(header: DatasetHeader, records, config: ProtocolConfig,
     extraction-equivalent pass covers the whole run and can overlap with
     acquisition in stream mode.
     """
-    return _train_once(header, records, config.replace(protocol="ours"),
-                       dataset_hash)
+    return IncrementalTrainer(header, config.replace(protocol="ours"),
+                              dataset_hash).add_sequence(records)
 
 
 def adapt_records(rpn_model, records, featurizer):
@@ -376,11 +267,9 @@ def train_ours_serial(header: DatasetHeader, records, config: ProtocolConfig,
     overlap with acquisition because it needs the trained module.  Without
     a ``featurizer`` the dataset's own synthetic oracle is rebuilt.
     """
-    if featurizer is None:
-        featurizer = featurizer_for(header)
-    return _train_once(header, records,
-                       config.replace(protocol="ours_serial"), dataset_hash,
-                       featurizer)
+    return IncrementalTrainer(header, config.replace(protocol="ours_serial"),
+                              dataset_hash, featurizer or featurizer_for(header)
+                              ).add_sequence(records)
 
 
 def train(header: DatasetHeader, records, config: ProtocolConfig,
@@ -393,26 +282,43 @@ def train(header: DatasetHeader, records, config: ProtocolConfig,
 
 
 class IncrementalTrainer:
-    """Grows one model over a stream of task sequences.
+    """Grows one model over a stream of task sequences.  It is the one
+    training driver: a run of either protocol is its first sequence.
 
     Each ``add_sequence`` call folds new images (and optionally new
     classes) into fixed-size per-image reservoirs, retrains the proposal
     and detection modules from the reservoirs, and extends the
     segmentation model with classifiers for the new classes only;
-    previously trained segmentation classifiers are never touched.
+    previously trained segmentation classifiers are never touched.  Under
+    ``ours_serial`` the detector and segmentation train on the records
+    that the new proposal module adapts through ``featurizer``; that
+    protocol is an offline two-pass run, so its trainer takes a single
+    sequence.  Under ``ours`` a ``featurizer`` is ignored.
     """
 
     def __init__(self, header: DatasetHeader, config: ProtocolConfig,
-                 dataset_hash=None):
-        if config.protocol != "ours":
-            raise ValueError(
-                f"incremental training runs the 'ours' protocol on stored "
-                f"proposals, not protocol {config.protocol!r}")
+                 dataset_hash=None, featurizer=None):
+        serial = config.protocol == "ours_serial"
+        if serial and featurizer is None:
+            raise ValueError("protocol 'ours_serial' needs a featurizer for "
+                             "its second extraction pass")
         self.header = header
         self.config = config
         self.dataset_hash = dataset_hash
-        self.rpn_reservoir, self.detection_reservoir = \
-            _fresh_reservoirs(config)
+        self.featurizer = featurizer if serial else None
+
+        def pool(centers, sigma, lam):
+            return BootstrapConfig(num_batches=config.num_batches,
+                                   batch_size=config.batch_size,
+                                   num_centers=centers, sigma=sigma, lam=lam)
+
+        self.rpn_reservoir = RpnReservoir(
+            config=pool(config.rpn_centers, config.rpn_sigma, config.rpn_lam),
+            seed=_module_seed(config.seed, "rpn"))
+        self.detection_reservoir = DetectionReservoir(
+            config=pool(config.detection_centers, config.detection_sigma,
+                        config.detection_lam),
+            seed=_module_seed(config.seed, "detection"))
         self.segmentation_model = None
         self.class_ids: tuple = ()
         self.num_records = 0
@@ -422,30 +328,78 @@ class IncrementalTrainer:
         """Ingest one sequence and return the retrained pipeline.
 
         The classes present in the records that the model has not seen
-        yet are added.  A sequence that fails to train leaves the trainer
-        as it was.
+        yet are added.  The heads train on forks of the reservoirs, and
+        the trainer keeps them only once every head has trained, so a
+        sequence that fails to train leaves the trainer as it was.
         """
+        serial = self.featurizer is not None
+        if serial and self.sequences:
+            raise ValueError("protocol 'ours_serial' trains on a single "
+                             "sequence")
         ledger = TimingLedger()
-        records = _materialize(records, ledger)
-        _check_sources(records, "stored")
+        with _timed(ledger, ACQUISITION):
+            records = list(records)
+        if not records:
+            raise ValueError("dataset holds no records")
+        for record in records:
+            if record.proposal_source != "stored":
+                raise ValueError(
+                    f"image {record.image_id}: proposal source "
+                    f"{record.proposal_source!r}, expected 'stored'")
         seen = {g.class_id for r in records for g in r.gt_objects}
         new_class_ids = tuple(sorted(seen - set(self.class_ids)))
-        class_ids = tuple(sorted(set(self.class_ids) | set(new_class_ids)))
-        reservoirs, heads = _train_core(
-            self.header, records, self.config, ledger,
-            (self.rpn_reservoir, self.detection_reservoir), class_ids,
-            new_class_ids, self.segmentation_model)
+        class_ids = tuple(sorted(seen | set(self.class_ids)))
+        if not class_ids:
+            raise ValueError("dataset holds no ground-truth objects")
+        config, grid = self.config, self.header.grid
+        rpn_reservoir = self.rpn_reservoir.fork()
+        det_reservoir = self.detection_reservoir.fork()
 
-        self.rpn_reservoir, self.detection_reservoir = reservoirs
-        self.segmentation_model = heads[2]
+        def fill_detection(records):
+            detection_incremental_update(det_reservoir, records, class_ids,
+                                         new_class_ids)
+
+        with _timed(ledger, EXTRACTION_1):
+            rpn_incremental_update(rpn_reservoir, records, grid)
+            if not serial:
+                fill_detection(records)
+        with _timed(ledger, RPN_TRAINING):
+            rpn_model = train_rpn_from_reservoir(
+                rpn_reservoir, grid, _module_seed(config.seed, "rpn"))
+        if serial:
+            with _timed(ledger, EXTRACTION_2):
+                records = adapt_records(rpn_model, records, self.featurizer)
+        with _timed(ledger, DETECTION_TRAINING):
+            if serial:
+                # the adapted records exist only after pass 2, so filling the
+                # reservoir from them counts as detection training
+                fill_detection(records)
+            det_model = train_detection_from_reservoir(
+                det_reservoir, _module_seed(config.seed, "detection"))
+        with _timed(ledger, SEGMENTATION_TRAINING):
+            seg_config = SegmentationConfig(
+                num_centers=config.segmentation_centers,
+                sigma=config.segmentation_sigma, lam=config.segmentation_lam,
+                subsample=config.pixel_fraction)
+            seg_seed = _module_seed(config.seed, "segmentation")
+            if self.segmentation_model is None:
+                segmentation = train_online_segmentation(
+                    records, new_class_ids, seg_config, seg_seed)
+            else:
+                segmentation = extend_segmentation(
+                    self.segmentation_model, records, new_class_ids,
+                    seg_config, seg_seed)
+
+        self.rpn_reservoir, self.detection_reservoir = (rpn_reservoir,
+                                                        det_reservoir)
+        self.segmentation_model = segmentation
         self.class_ids = class_ids
         self.num_records += len(records)
         self.sequences += 1
-        manifest = build_manifest(self.config, self.header,
-                                  self.num_records, self.dataset_hash)
-        manifest["sequences"] = self.sequences
-        model = PipelineModel(self.header.class_names, *heads,
-                              manifest=manifest)
+        manifest = build_manifest(config, self.header, self.num_records,
+                                  self.sequences, self.dataset_hash)
+        model = PipelineModel(self.header.class_names, rpn_model, det_model,
+                              segmentation, manifest=manifest)
         return TrainResult(model, ledger)
 
 

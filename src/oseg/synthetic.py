@@ -46,6 +46,16 @@ _PLACEMENT_TRIES = 60
 _BACKGROUND_TRIES = 100
 _BORDER_MARGIN = 2
 _GAP = 4
+# the generator keys a header stores beyond "kind", with their readers
+_GENERATOR_KEYS = {
+    "seed": int,
+    "noise": float,
+    "active_classes": lambda v: tuple(int(c) for c in v),
+    "min_objects": int,
+    "max_objects": int,
+    "proposals_per_gt": int,
+    "background_proposals": int,
+}
 
 
 @dataclass(frozen=True)
@@ -100,7 +110,6 @@ class SyntheticWorld:
     max_objects: int = 3
     proposals_per_gt: int = 6
     background_proposals: int = 8
-    include_gt_proposals: bool = True
 
     grid: AnchorGrid = field(init=False, repr=False)
     _layouts: dict = field(init=False, repr=False, default_factory=dict)
@@ -324,9 +333,7 @@ class SyntheticWorld:
         ground-truth boxes first, then jittered and background boxes."""
         rng = rng_for(self.seed, "proposals", image_id)
         objects = self.layout(image_id)
-        boxes: list[Box] = []
-        if self.include_gt_proposals:
-            boxes.extend(obj.box for obj in objects)
+        boxes: list[Box] = [obj.box for obj in objects]
         for obj in objects:
             for k in range(self.proposals_per_gt):
                 lo, hi = self._IOU_BANDS[k % len(self._IOU_BANDS)]
@@ -376,10 +383,12 @@ class SyntheticWorld:
         )
 
     def generate(self, num_images: int, start_id: int = 0) -> Iterator[FeatureRecord]:
+        """Records of ``num_images`` consecutive ids; the count is checked
+        at the call, before any record is rendered or written."""
         if num_images < 1:
             raise ValueError("num_images must be >= 1")
-        for image_id in range(start_id, start_id + num_images):
-            yield self.render_record(image_id)
+        return (self.render_record(image_id)
+                for image_id in range(start_id, start_id + num_images))
 
     # -- header round-trip -------------------------------------------------
 
@@ -402,7 +411,6 @@ class SyntheticWorld:
                 "max_objects": self.max_objects,
                 "proposals_per_gt": self.proposals_per_gt,
                 "background_proposals": self.background_proposals,
-                "include_gt_proposals": self.include_gt_proposals,
             },
         )
 
@@ -411,10 +419,17 @@ class SyntheticWorld:
         gen = header.generator
         if not gen or gen.get("kind") != "synthetic":
             raise ValueError("dataset was not produced by the synthetic oracle")
+        kw = {}
+        for key, kind in _GENERATOR_KEYS.items():
+            if key not in gen:
+                raise ValueError(f"synthetic generator lacks key {key!r}")
+            try:
+                kw[key] = kind(gen[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"synthetic generator key {key!r}: "
+                                 f"{exc}") from exc
         return SyntheticWorld(
             class_names=header.class_names,
-            noise=float(gen["noise"]),
-            seed=int(gen["seed"]),
             image_size=header.image_size,
             stride=header.stride,
             anchor_shapes=header.anchor_shapes,
@@ -422,12 +437,7 @@ class SyntheticWorld:
             det_dim=header.det_dim,
             seg_dim=header.seg_dim,
             mask_grid=header.mask_grid,
-            active_classes=tuple(gen["active_classes"]),
-            min_objects=int(gen["min_objects"]),
-            max_objects=int(gen["max_objects"]),
-            proposals_per_gt=int(gen["proposals_per_gt"]),
-            background_proposals=int(gen["background_proposals"]),
-            include_gt_proposals=bool(gen["include_gt_proposals"]),
+            **kw,
         )
 
 

@@ -53,6 +53,13 @@ class TestGenSynthetic:
         assert (work / "test.oseg").read_bytes() != \
             (work / "train.oseg").read_bytes()
 
+    def test_no_images_fails_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "empty.oseg"
+        assert run("gen-synthetic", "--images", "0", "--classes", "2",
+                   "--out", str(out)) == 2
+        assert "num_images" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_model_and_manifest(self, work):
@@ -187,6 +194,29 @@ class TestEval:
                    "--out", str(tmp_path / "r.csv"))
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("generator, message", [
+        ("drop-noise", "'noise'"),
+        ([1, 2], "generator must be an object"),
+    ], ids=["missing-key", "not-an-object"])
+    def test_malformed_generator_fails(self, work, tmp_path, capsys,
+                                       generator, message):
+        raw = (work / "test.oseg").read_bytes()
+        length = int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[16:16 + length])
+        if generator == "drop-noise":
+            del header["generator"]["noise"]
+        else:
+            header["generator"] = generator
+        blob = canonical_json(header)
+        dataset = tmp_path / "bad.oseg"
+        dataset.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
+                            + raw[16 + length:])
+        code = run("eval", "--model", str(work / "model.oseg"),
+                   "--dataset", str(dataset), "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
 
 class TestTrainIncremental:

@@ -339,6 +339,20 @@ def test_version_1_file_is_refused(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("generator", [[1, 2], "synthetic", 3])
+def test_generator_that_is_not_an_object_is_refused(tmp_path, generator):
+    with pytest.raises(ValueError, match="generator must be an object"):
+        DatasetHeader(class_names=("a",), generator=generator)
+    path = tmp_path / "d.oseg"
+    tree = dict(DatasetHeader(class_names=("a",)).to_json(),
+                generator=generator)
+    with open(path, "wb") as fh:
+        binio.write_preamble(fh, DATASET_MAGIC, DATASET_VERSION, tree)
+    with pytest.raises(FormatError, match="generator must be an object") as err:
+        read_dataset(path)
+    assert err.value.offset == len(DATASET_MAGIC) + 12
+
+
 def test_header_round_trip_json():
     header = DatasetHeader(
         class_names=("a", "b"),
@@ -600,3 +614,36 @@ def test_from_header_rejects_non_synthetic():
     header = DatasetHeader(class_names=("a",), generator=None)
     with pytest.raises(ValueError, match="synthetic"):
         SyntheticWorld.from_header(header)
+
+
+GENERATOR_KEYS = ("seed", "noise", "active_classes", "min_objects",
+                  "max_objects", "proposals_per_gt", "background_proposals")
+
+
+@pytest.mark.parametrize("key", GENERATOR_KEYS)
+def test_from_header_names_a_missing_key(key):
+    header = small_world().header()
+    generator = {k: v for k, v in header.generator.items() if k != key}
+    with pytest.raises(ValueError, match=f"lacks key '{key}'"):
+        SyntheticWorld.from_header(dataclasses.replace(header,
+                                                       generator=generator))
+
+
+@pytest.mark.parametrize("key, value", [("noise", "loud"), ("seed", None),
+                                        ("active_classes", 3),
+                                        ("max_objects", [2])])
+def test_from_header_names_an_ill_typed_key(key, value):
+    header = small_world().header()
+    generator = dict(header.generator, **{key: value})
+    with pytest.raises(ValueError, match=f"key '{key}'"):
+        SyntheticWorld.from_header(dataclasses.replace(header,
+                                                       generator=generator))
+
+
+def test_generate_checks_its_count_at_the_call(tmp_path):
+    world = small_world()
+    with pytest.raises(ValueError, match="num_images"):
+        world.generate(0)
+    with pytest.raises(ValueError, match="num_images"):
+        generate_dataset(tmp_path / "d.oseg", world, 0)
+    assert not (tmp_path / "d.oseg").exists()

@@ -347,14 +347,44 @@ class TestAdaptRecords:
 
 
 class TestIncrementalTrainer:
-    def test_single_sequence_matches_batch(self, header, train_records,
-                                           config, ours):
-        trainer = pipeline.IncrementalTrainer(header, config)
+    def test_single_sequence_matches_batch(self, world, header,
+                                           train_records, config, ours):
+        # under 'ours' a featurizer is ignored
+        recording = RecordingFeaturizer(world)
+        trainer = pipeline.IncrementalTrainer(header, config,
+                                              featurizer=recording)
         result = quiet_train(trainer.add_sequence, train_records)
-        manifest = dict(result.model.manifest)
-        assert manifest.pop("sequences") == 1
-        model = dataclasses.replace(result.model, manifest=manifest)
-        assert model_bytes(model) == model_bytes(ours.model)
+        assert result.model.manifest["sequences"] == 1
+        assert model_bytes(result.model) == model_bytes(ours.model)
+        assert recording.image_ids == []
+
+    def test_serial_sequence_matches_batch(self, world, header,
+                                           train_records, config, serial):
+        trainer = pipeline.IncrementalTrainer(
+            header, config.replace(protocol="ours_serial"),
+            featurizer=WorldFeaturizer(world))
+        result = quiet_train(trainer.add_sequence, train_records)
+        assert model_bytes(result.model) == model_bytes(serial.model)
+
+    def test_serial_trainer_takes_one_sequence(self, world, header,
+                                               train_records, config):
+        trainer = pipeline.IncrementalTrainer(
+            header, config.replace(protocol="ours_serial"),
+            featurizer=WorldFeaturizer(world))
+        quiet_train(trainer.add_sequence, train_records[:8])
+        with pytest.raises(ValueError, match="single sequence"):
+            trainer.add_sequence(train_records[8:])
+        assert (trainer.num_records, trainer.sequences) == (8, 1)
+
+    def test_first_sequence_without_objects_rejected(self, header,
+                                                     train_records, config):
+        empty = [dataclasses.replace(r, gt_objects=()) for r in train_records]
+        trainer = pipeline.IncrementalTrainer(header, config)
+        with pytest.raises(ValueError, match="no ground-truth objects"):
+            trainer.add_sequence(empty)
+        assert (trainer.class_ids, trainer.sequences) == ((), 0)
+        with pytest.raises(ValueError, match="no ground-truth objects"):
+            pipeline.train_ours(header, empty, config)
 
     def test_failed_sequence_leaves_trainer_unchanged(self, config,
                                                       monkeypatch):
