@@ -31,7 +31,6 @@ from oseg.detection import (detect, detection_incremental_update,
                             train_detection_from_reservoir)
 from oseg.evaluation import InstancePrediction
 from oseg.feature_store import DatasetHeader
-from oseg.geometry import box_array
 from oseg.incremental import DetectionReservoir, RpnReservoir
 from oseg.minibootstrap import BootstrapConfig
 from oseg.model_io import PipelineModel
@@ -188,7 +187,7 @@ class WorldFeaturizer:
         self.world = world
 
     def detection(self, image_id: int, boxes) -> np.ndarray:
-        """One ``det_dim`` row per box of the sequence ``boxes``."""
+        """One ``det_dim`` row per row of the ``(n, 4)`` box array."""
         return self.world.detection_features(image_id, boxes)
 
     def mask(self, image_id: int, box) -> np.ndarray:
@@ -249,10 +248,10 @@ def adapt_records(rpn_model, records, featurizer):
     """Replace stored proposals with featurized output of a trained RPN."""
     adapted = []
     for record in records:
-        boxes = [box for box, _ in propose(rpn_model, record)]
+        boxes = propose(rpn_model, record)
         adapted.append(dataclasses.replace(
             record,
-            proposal_boxes=box_array(boxes),
+            proposal_boxes=boxes,
             proposal_features=featurizer.detection(record.image_id, boxes),
             proposal_source="adapted"))
     return adapted

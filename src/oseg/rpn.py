@@ -21,7 +21,6 @@ import numpy as np
 
 from .geometry import (
     AnchorGrid,
-    Box,
     apply_targets,
     box_array,
     encode_targets,
@@ -132,12 +131,11 @@ def train_rpn_from_reservoir(
     )
 
 
-def propose(model: OnlineRpnModel, record) -> list:
-    """Score, refine and suppress every anchor; returns (Box, score) pairs.
+def propose(model: OnlineRpnModel, record) -> np.ndarray:
+    """Score, refine and suppress every anchor; returns the kept boxes.
 
-    The list is sorted by descending score, holds at most
-    ``POST_NMS_TOP_K`` entries, and no two survivors overlap beyond
-    ``NMS_IOU``.
+    The ``(n, 4)`` array is sorted by descending score, holds at most
+    ``POST_NMS_TOP_K`` rows, and no two rows overlap beyond ``NMS_IOU``.
     """
     grid = model.grid
     feats = _location_features(record, grid)
@@ -164,10 +162,7 @@ def propose(model: OnlineRpnModel, record) -> list:
     order = np.argsort(-flat_scores, kind="stable")[:PRE_NMS_TOP_K]
     order = order[np.isfinite(flat_scores[order])]
     if order.size == 0:
-        return []
+        return np.empty((0, 4))
     keep = nms(flat_boxes[order], flat_scores[order], NMS_IOU,
                limit=POST_NMS_TOP_K)
-    return [
-        (Box.from_array(flat_boxes[order[i]]), float(flat_scores[order[i]]))
-        for i in keep
-    ]
+    return flat_boxes[order[keep]]

@@ -35,6 +35,7 @@ from .geometry import (
     AnchorGrid,
     BinaryMask,
     Box,
+    _as_boxes,
     box_array,
     ellipse_mask,
     iou_matrix,
@@ -118,8 +119,8 @@ class SyntheticWorld:
         self.class_names = tuple(self.class_names)
         if not self.class_names:
             raise ValueError("need at least one class")
-        if self.noise < 0:
-            raise ValueError("noise level must be >= 0")
+        if not 0 <= self.noise < np.inf:  # NaN fails every comparison
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise!r}")
         if not 1 <= self.min_objects <= self.max_objects:
             raise ValueError("need 1 <= min_objects <= max_objects")
         if self.active_classes is None:
@@ -169,7 +170,7 @@ class SyntheticWorld:
         """Pin an explicit layout for one image (overrides generation)."""
         placed = []
         for class_id, box in objects:
-            self._check_inside(box)
+            self._check_inside(box.as_array())
             if not 0 <= class_id < self.num_classes:
                 raise ValueError(f"class {class_id} out of range")
             placed.append(PlacedObject(int(class_id), box))
@@ -225,10 +226,16 @@ class SyntheticWorld:
             or b.y2 + _GAP <= a.y1
         )
 
-    def _check_inside(self, box: Box) -> None:
+    def _check_inside(self, boxes) -> np.ndarray:
+        """``boxes`` as ``(n, 4)``, each inside the image with positive extent."""
+        coords = _as_boxes(boxes)
+        x1, y1, x2, y2 = coords.T
         w, h = self.image_size
-        if box.x1 < 0 or box.y1 < 0 or box.x2 > w or box.y2 > h:
-            raise ValueError(f"box {box} outside image {self.image_size}")
+        ok = (0 <= x1) & (x1 < x2) & (x2 <= w) & (0 <= y1) & (y1 < y2) & (y2 <= h)
+        if not ok.all():  # a NaN or infinite row fails a comparison too
+            bad = coords[int(ok.argmin())].tolist()
+            raise ValueError(f"box {bad} outside image {self.image_size}")
+        return coords
 
     # -- feature formulas --------------------------------------------------
 
@@ -252,19 +259,17 @@ class SyntheticWorld:
         return out
 
     def detection_features(self, image_id: int, boxes) -> np.ndarray:
-        """Region vectors of a sequence of boxes, one ``det_dim`` row each.
+        """Region vectors of an ``(n, 4)`` box array, one ``det_dim`` row
+        per box; a single ``[x1, y1, x2, y2]`` row gives one.
 
         Each row is accumulated in layout order and draws its noise from
         its own box's stream, so it does not depend on the other boxes.
         """
-        boxes = list(boxes)
-        for box in boxes:
-            self._check_inside(box)
-        coords = box_array(boxes)
+        coords = self._check_inside(boxes)
         objects = self.layout(image_id)
         weights = iou_matrix(coords, box_array([o.box for o in objects]))
-        out = np.zeros((len(boxes), self.det_dim))
-        total = np.zeros(len(boxes))
+        out = np.zeros((len(coords), self.det_dim))
+        total = np.zeros(len(coords))
         for j, obj in enumerate(objects):
             out += weights[:, j, None] * self._det_protos[obj.class_id]
             total += weights[:, j]
@@ -289,7 +294,7 @@ class SyntheticWorld:
 
     def mask_feature_grid(self, image_id: int, box: Box) -> tuple[np.ndarray, np.ndarray]:
         """Per-pixel features and mask bits on the s x s grid over a box."""
-        self._check_inside(box)
+        self._check_inside(box.as_array())
         s = self.mask_grid
         gx, gy = self._grid_points(box)
         feats = np.tile(self._seg_background, (s, s, 1))
@@ -352,8 +357,8 @@ class SyntheticWorld:
                     boxes.append(box)
                     break
         # featurizing draws nothing from ``rng``, so it can run last
-        feats = self.detection_features(image_id, boxes)
-        return box_array(boxes), feats
+        coords = box_array(boxes)
+        return coords, self.detection_features(image_id, coords)
 
     def render_record(self, image_id: int) -> FeatureRecord:
         objects = self.layout(image_id)

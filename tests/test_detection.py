@@ -157,8 +157,8 @@ class TestTraining:
         assert model.class_ids == (0, 1, 2)
         for record in list(world.generate(6, start_id=100)):
             for gt in record.gt_objects:
-                feat = world.detection_features(record.image_id, [gt.box])
-                far = world.detection_features(record.image_id, [Box(1.0, 1.0, 9.0, 9.0)])
+                feat = world.detection_features(record.image_id, gt.box.as_array())
+                far = world.detection_features(record.image_id, Box(1.0, 1.0, 9.0, 9.0).as_array())
                 for n, clf in model.classifiers.items():
                     own = clf.decision_values(feat)[0]
                     bg = clf.decision_values(far)[0]

@@ -19,7 +19,7 @@ from oseg.feature_store import (
     read_dataset,
     write_dataset,
 )
-from oseg.geometry import Box, iou, iou_matrix, pixel_bounds
+from oseg.geometry import Box, box_array, iou, iou_matrix, pixel_bounds
 from oseg.seeding import rng_for
 from oseg.synthetic import SyntheticWorld, generate_dataset
 
@@ -384,14 +384,14 @@ def test_gt_box_feature_equals_prototype():
     world = small_world(class_names=("only",), max_objects=1)
     record = world.render_record(0)
     (gt,) = record.gt_objects
-    feature = world.detection_features(0, [gt.box])[0]
+    feature = world.detection_features(0, gt.box.as_array())[0]
     assert np.array_equal(feature, world.prototypes("det")[gt.class_id])
 
 
 def test_disjoint_box_is_background():
     world = small_world(max_objects=1)
     world.set_layout(0, [(2, Box(40.0, 40.0, 100.0, 100.0))])
-    feature = world.detection_features(0, [Box(200.0, 200.0, 260.0, 260.0)])[0]
+    feature = world.detection_features(0, Box(200.0, 200.0, 260.0, 260.0).as_array())[0]
     assert np.array_equal(feature, world.background_prototype("det"))
 
 
@@ -402,7 +402,7 @@ def test_half_iou_mixes_prototype_and_background():
     query = Box(120.0, 100.0, 180.0, 160.0)
     assert iou(query, Box(100.0, 100.0, 160.0, 160.0)) == 0.5
     expected = 0.5 * world.prototypes("det")[1] + 0.5 * world.background_prototype("det")
-    got = world.detection_features(0, [query])[0]
+    got = world.detection_features(0, query.as_array())[0]
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
 
 
@@ -410,7 +410,7 @@ def test_oracle_matches_stored_features():
     world = small_world(noise=0.3, seed=5, max_objects=2)
     record = world.render_record(3)
     for box, feature in zip(record.proposal_boxes, record.proposal_features):
-        det = world.detection_features(3, [Box.from_array(box)])[0]
+        det = world.detection_features(3, box)[0]
         assert np.array_equal(det, feature)
     for g in record.gt_objects:
         seg, _ = world.mask_feature_grid(3, g.box)
@@ -421,13 +421,13 @@ def test_oracle_rejects_outside_box():
     world = small_world()
     outside = Box(300.0, 10.0, 340.0, 50.0)
     with pytest.raises(ValueError, match="outside image"):
-        world.detection_features(0, [outside])
+        world.detection_features(0, outside.as_array())
     with pytest.raises(ValueError, match="outside image"):
         world.mask_feature_grid(0, outside)
 
 
 def detection_feature_reference(world, image_id, box):
-    """The region-vector formula for one box, written out term by term."""
+    """The region-vector formula for one box row, written out term by term."""
     out = np.zeros(world.det_dim)
     total = 0.0
     for obj in world.layout(image_id):
@@ -436,7 +436,7 @@ def detection_feature_reference(world, image_id, box):
         total += w
     out += max(0.0, 1.0 - total) * world.background_prototype("det")
     if world.noise:
-        cell = ["%.1f" % (np.round(v * 2.0) / 2.0) for v in box.as_array()]
+        cell = ["%.1f" % (np.round(v * 2.0) / 2.0) for v in box]
         rng = rng_for(world.seed, "noise-det", image_id, *cell)
         out += rng.normal(0.0, world.noise / np.sqrt(world.det_dim),
                           size=world.det_dim)
@@ -447,15 +447,15 @@ def detection_feature_reference(world, image_id, box):
 def test_detection_rows_equal_one_box_calls(noise):
     world = small_world(noise=noise, seed=5, max_objects=3)
     record = world.render_record(2)
-    boxes = [Box.from_array(b) for b in record.proposal_boxes] + [Box(1.0, 1.0, 9.0, 9.0)]
+    boxes = np.vstack([record.proposal_boxes, [1.0, 1.0, 9.0, 9.0]])
     order = rng_for(5, "shuffle").permutation(len(boxes))
-    shuffled = [boxes[i] for i in order]
-    repeated = shuffled[:4] + shuffled[:4] + shuffled[2:3]
+    shuffled = boxes[order]
+    repeated = np.vstack([shuffled[:4], shuffled[:4], shuffled[2:3]])
     for batch in (shuffled, repeated):
         rows = world.detection_features(2, batch)
         assert rows.shape == (len(batch), world.det_dim)
         for box, row in zip(batch, rows):
-            one = world.detection_features(2, [box])
+            one = world.detection_features(2, box)
             assert row.tobytes() == one[0].tobytes()
             want = detection_feature_reference(world, 2, box)
             assert row.tobytes() == want.tobytes()
@@ -463,13 +463,13 @@ def test_detection_rows_equal_one_box_calls(noise):
 
 def test_empty_box_list():
     world = small_world(noise=0.3)
-    assert world.detection_features(0, []).shape == (0, world.det_dim)
+    assert world.detection_features(0, np.empty((0, 4))).shape == (0, world.det_dim)
 
 
 def test_image_without_objects_featurizes():
     world = small_world(noise=0.3)
     world.set_layout(0, [])
-    boxes = [Box(10.0, 10.0, 50.0, 50.0), Box(100.0, 20.0, 180.0, 90.0)]
+    boxes = box_array([Box(10.0, 10.0, 50.0, 50.0), Box(100.0, 20.0, 180.0, 90.0)])
     rows = world.detection_features(0, boxes)
     for box, row in zip(boxes, rows):
         assert row.tobytes() == detection_feature_reference(world, 0, box).tobytes()
@@ -482,11 +482,13 @@ def test_image_without_objects_featurizes():
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_outside_box_named_wherever_it_sits(position):
     world = small_world()
-    bad = Box(300.0, 10.0, 340.0, 50.0)
-    boxes = [Box(10.0, 10.0, 50.0, 50.0), Box(60.0, 60.0, 90.0, 90.0)]
-    boxes.insert(position, bad)
-    with pytest.raises(ValueError, match=re.escape(f"box {bad} outside image")):
-        world.detection_features(0, boxes)
+    # past the right edge, zero width, NaN and infinite corners
+    for bad in ([300.0, 10.0, 340.0, 50.0], [60.0, 20.0, 60.0, 90.0],
+                [10.0, float("nan"), 50.0, 50.0], [10.0, 10.0, float("inf"), 50.0]):
+        boxes = [[10.0, 10.0, 50.0, 50.0], [60.0, 60.0, 90.0, 90.0]]
+        boxes.insert(position, bad)
+        with pytest.raises(ValueError, match=re.escape(f"box {bad} outside image")):
+            world.detection_features(0, np.array(boxes))
 
 
 def test_oracle_quantization_determinism():
@@ -494,14 +496,14 @@ def test_oracle_quantization_determinism():
     base = Box(50.2, 60.2, 110.2, 120.2)
     jittered = Box(50.1, 60.1, 110.1, 120.1)  # same 0.5 px quantization
     moved = Box(50.8, 60.2, 110.8, 120.2)
-    det_a = world.detection_features(0, [base])[0]
-    det_b = world.detection_features(0, [jittered])[0]
-    det_c = world.detection_features(0, [moved])[0]
+    det_a = world.detection_features(0, base.as_array())[0]
+    det_b = world.detection_features(0, jittered.as_array())[0]
+    det_c = world.detection_features(0, moved.as_array())[0]
     # identical noise stream, slightly different IoU term
     assert np.abs(det_a - det_b).max() < 0.05
     # a genuinely different quantization cell draws fresh noise
     assert not np.array_equal(det_a, det_c)
-    det_a2 = world.detection_features(0, [base])[0]
+    det_a2 = world.detection_features(0, base.as_array())[0]
     assert np.array_equal(det_a, det_a2)
 
 
@@ -608,6 +610,22 @@ def test_world_header_round_trip():
     assert records_equal(record_a, record_b)
     for g in record_b.gt_objects:
         assert (record_b.proposal_boxes == g.box.as_array()).all(axis=1).any()
+
+
+@pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+def test_non_finite_noise_rejected(noise):
+    with pytest.raises(ValueError, match="noise"):
+        small_world(noise=noise)
+
+
+@pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+def test_from_header_rejects_non_finite_noise(noise):
+    # a JSON reader accepts NaN and Infinity, and float() keeps them
+    header = small_world().header()
+    generator = dict(header.generator, noise=noise)
+    with pytest.raises(ValueError, match="noise"):
+        SyntheticWorld.from_header(dataclasses.replace(header,
+                                                       generator=generator))
 
 
 def test_from_header_rejects_non_synthetic():

@@ -9,7 +9,7 @@ import pytest
 
 from oseg import pipeline
 from oseg.evaluation import evaluate
-from oseg.geometry import Box, mask_iou
+from oseg.geometry import mask_iou
 from oseg.incremental import UntrainableClassError
 from oseg.minibootstrap import BootstrapConfig
 from oseg.model_io import classifier_bytes, model_bytes
@@ -322,8 +322,8 @@ class TestAdaptRecords:
         record = train_records[0]
         adapted = pipeline.adapt_records(ours.model.rpn, [record],
                                          featurizer)[0]
-        probe = Box.from_array(adapted.proposal_boxes[0])
-        want = featurizer.detection(record.image_id, [probe])[0]
+        probe = adapted.proposal_boxes[0]
+        want = featurizer.detection(record.image_id, probe)[0]
         assert np.array_equal(adapted.proposal_features[0], want)
 
     def test_one_featurizer_call_per_record(self, ours, train_records,
@@ -600,8 +600,8 @@ class TestFeaturizer:
         rebuilt = pipeline.featurizer_for(header)
         record = test_records[0]
         box = record.gt_objects[0].box
-        assert np.array_equal(rebuilt.detection(record.image_id, [box]),
-                              featurizer.detection(record.image_id, [box]))
+        assert np.array_equal(rebuilt.detection(record.image_id, box.as_array()),
+                              featurizer.detection(record.image_id, box.as_array()))
         assert np.array_equal(rebuilt.mask(record.image_id, box),
                               featurizer.mask(record.image_id, box))
 
@@ -612,5 +612,5 @@ class TestFeaturizer:
             # each ground-truth box is stored once among the proposals
             (row,) = np.flatnonzero(
                 (record.proposal_boxes == g.box.as_array()).all(axis=1))
-            want = featurizer.detection(record.image_id, [g.box])[0]
+            want = featurizer.detection(record.image_id, g.box.as_array())[0]
             assert np.allclose(record.proposal_features[row], want)
