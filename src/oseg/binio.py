@@ -3,12 +3,19 @@
 Layout: magic bytes, little-endian u32 version, canonical-JSON header
 block, then length-prefixed payload blocks until EOF.  Every read error
 reports the byte offset where parsing failed.
+
+Every reader of a JSON tree (dataset and model headers, record metas,
+the generator block, run configs) takes its values through
+:func:`value_of`, whose rule is: check, never cast.  A value of the
+wrong kind raises ``ValueError`` naming its key, which
+:func:`malformed` turns into a :class:`FormatError` at the offset.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from contextlib import contextmanager
 
@@ -31,6 +38,38 @@ def malformed(what: str, offset: int):
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed {what}: {exc}", offset) from exc
+
+
+# the name of each kind in error messages
+_KINDS = {int: "int", float: "finite float", str: "str"}
+
+
+def _checked(value, kind, shape):
+    if shape:
+        if not isinstance(value, (list, tuple)) or shape[0] not in (0, len(value)):
+            raise ValueError
+        return tuple(_checked(item, kind, shape[1:]) for item in value)
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float) if kind is float else kind) or (
+            kind is float and not math.isfinite(value)):  # OverflowError past 1e308
+        raise ValueError
+    return float(value) if kind is float else value
+
+
+def value_of(tree, key, kind, shape=()):
+    """``tree[key]`` checked, never cast: an int but not a bool, a finite
+    int or float (returned as a float), or a str.  ``shape`` asks for
+    nested lists of them, returned as tuples; a 0 in it is any length."""
+    try:
+        value = tree[key]
+    except (KeyError, IndexError):
+        raise ValueError(f"lacks key {key!r}") from None
+    try:
+        return _checked(value, kind, shape)
+    except (ValueError, OverflowError):
+        dims = "".join(f"[{n or ''}]" for n in shape)
+        raise ValueError(f"{key}: expected {_KINDS[kind]}{dims}, "
+                         f"got {value!r}") from None
 
 
 def canonical_json(obj) -> bytes:

@@ -20,7 +20,7 @@ import numpy as np
 
 from oseg import binio, pipeline
 from oseg.evaluation import evaluate
-from oseg.feature_store import dataset_sha256, load_dataset
+from oseg.feature_store import CONTRACT, dataset_sha256, load_dataset
 from oseg.incremental import sampling_equivalence_test
 from oseg.kernels import gaussian_kernel, train_kernel_classifier
 from oseg.model_io import load_pipeline, save_pipeline
@@ -100,9 +100,7 @@ def cmd_train(args) -> int:
 
 
 def _compatible_headers(a, b) -> bool:
-    keys = ("class_names", "image_size", "stride", "anchor_shapes",
-            "rpn_dim", "det_dim", "seg_dim", "mask_grid")
-    return all(getattr(a, k) == getattr(b, k) for k in keys)
+    return all(getattr(a, k) == getattr(b, k) for k in CONTRACT)
 
 
 def cmd_train_incremental(args) -> int:

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import binio
-from .binio import FormatError
+from .binio import FormatError, value_of
 from .geometry import AnchorGrid, BinaryMask, Box, pixel_bounds
 
 DATASET_MAGIC = b"OSEG"
@@ -109,6 +109,20 @@ class FeatureRecord:
                 )
 
 
+# the fields of a dataset's contract, each with the kind and shape of
+# its JSON value (``binio.value_of``)
+CONTRACT = {"class_names": (str, (0,)), "image_size": (int, (2,)),
+            "stride": (int,), "anchor_shapes": (float, (0, 2)),
+            "rpn_dim": (int,), "det_dim": (int,), "seg_dim": (int,),
+            "mask_grid": (int,)}
+
+
+def grid_from_json(tree) -> AnchorGrid:
+    """The anchor grid of a dataset or model header tree."""
+    return AnchorGrid(**{name: value_of(tree, name, *CONTRACT[name])
+                         for name in ("image_size", "stride", "anchor_shapes")})
+
+
 @dataclass(frozen=True)
 class DatasetHeader:
     """Dataset-wide contract: vocabulary, grid, and tensor dimensions.
@@ -142,46 +156,22 @@ class DatasetHeader:
         if not isinstance(self.generator, (dict, type(None))):
             raise ValueError(f"generator must be an object or null, "
                              f"got {self.generator!r}")
-        object.__setattr__(
-            self,
-            "grid",
-            AnchorGrid(
-                image_size=tuple(self.image_size),
-                stride=self.stride,
-                anchor_shapes=tuple(tuple(s) for s in self.anchor_shapes),
-            ),
-        )
+        object.__setattr__(self, "grid", grid_from_json(self.to_json()))
 
     @property
     def num_classes(self) -> int:
         return len(self.class_names)
 
     def to_json(self) -> dict:
-        return {
-            "class_names": list(self.class_names),
-            "image_size": list(self.image_size),
-            "stride": self.stride,
-            "anchor_shapes": [list(s) for s in self.anchor_shapes],
-            "rpn_dim": self.rpn_dim,
-            "det_dim": self.det_dim,
-            "seg_dim": self.seg_dim,
-            "mask_grid": self.mask_grid,
-            "generator": self.generator,
-        }
+        """The header tree; tuples serialize as JSON lists."""
+        return {**{name: getattr(self, name) for name in CONTRACT},
+                "generator": self.generator}
 
     @staticmethod
     def from_json(obj: dict) -> "DatasetHeader":
-        return DatasetHeader(
-            class_names=tuple(obj["class_names"]),
-            image_size=tuple(obj["image_size"]),
-            stride=int(obj["stride"]),
-            anchor_shapes=tuple(tuple(float(v) for v in s) for s in obj["anchor_shapes"]),
-            rpn_dim=int(obj["rpn_dim"]),
-            det_dim=int(obj["det_dim"]),
-            seg_dim=int(obj["seg_dim"]),
-            mask_grid=int(obj["mask_grid"]),
-            generator=obj.get("generator"),
-        )
+        return DatasetHeader(**{name: value_of(obj, name, *kind)
+                                for name, kind in CONTRACT.items()},
+                             generator=obj.get("generator"))
 
 
 def _pack_record(record: FeatureRecord) -> bytes:
@@ -234,7 +224,7 @@ def _unpack_record(payload: bytes, header: DatasetHeader, offset: int) -> Featur
         pos += nbytes
         return out
 
-    map_shape = tuple(int(v) for v in meta["map_shape"])
+    map_shape = value_of(meta, "map_shape", int, (3,))
     rpn_map = take(int(np.prod(map_shape)), _F8, "rpn map").reshape(map_shape)
     listed = meta["proposal_boxes"]
     count = len(listed)
@@ -244,7 +234,7 @@ def _unpack_record(payload: bytes, header: DatasetHeader, offset: int) -> Featur
     s = header.mask_grid
     gts = []
     for g in meta["gts"]:
-        mh, mw = (int(v) for v in g["mask_shape"])
+        mh, mw = value_of(g, "mask_shape", int, (2,))
         packed = take(-(-mh * mw // 8), np.uint8, "mask bits")
         bits = np.unpackbits(packed, count=mh * mw).astype(bool).reshape(mh, mw)
         feats = take(s * s * header.seg_dim, _F8, "mask features")
@@ -252,9 +242,9 @@ def _unpack_record(payload: bytes, header: DatasetHeader, offset: int) -> Featur
         labels = np.unpackbits(packed_labels, count=s * s).astype(bool).reshape(s, s)
         gts.append(
             GtObject(
-                class_id=int(g["class_id"]),
-                box=Box(*(float(v) for v in g["box"])),
-                mask=BinaryMask(tuple(int(v) for v in g["mask_origin"]), bits),
+                class_id=value_of(g, "class_id", int),
+                box=Box(*value_of(g, "box", float, (4,))),
+                mask=BinaryMask(value_of(g, "mask_origin", int, (2,)), bits),
                 mask_features=feats.copy().reshape(s, s, header.seg_dim),
                 pixel_labels=labels,
             )
@@ -264,12 +254,12 @@ def _unpack_record(payload: bytes, header: DatasetHeader, offset: int) -> Featur
             f"record blob has {len(blob) - pos} unexplained trailing bytes", offset
         )
     return FeatureRecord(
-        image_id=int(meta["image_id"]),
-        image_size=tuple(int(v) for v in meta["image_size"]),
+        image_id=value_of(meta, "image_id", int),
+        image_size=value_of(meta, "image_size", int, (2,)),
         rpn_map=rpn_map.copy(),
         proposal_boxes=boxes,
         proposal_features=features.reshape(count, header.det_dim).copy(),
-        proposal_source=meta["proposal_source"],
+        proposal_source=value_of(meta, "proposal_source", str),
         gt_objects=tuple(gts),
     )
 

@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from oseg import binio
+from oseg.binio import value_of
 from oseg.detection import OnlineDetectionModel
+from oseg.feature_store import grid_from_json
 from oseg.geometry import AnchorGrid
 from oseg.kernels import KernelClassifier, RlsRegressor
 from oseg.rpn import OnlineRpnModel
@@ -77,11 +79,11 @@ def _bank_tree(bank: dict, encode, sink: _TensorSink) -> list:
 
 
 def _take_tensor(tree: dict, blocks, offset_of) -> np.ndarray:
-    index = tree["block"]
+    index = value_of(tree, "block", int)
     if not 0 <= index < len(blocks):
         raise binio.FormatError(f"tensor block {index} out of range",
                                 offset_of(min(index, len(blocks) - 1)))
-    shape = tuple(int(v) for v in tree["shape"])
+    shape = value_of(tree, "shape", int, (0,))
     raw = blocks[index]
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
     if len(raw) != 8 * count:
@@ -99,30 +101,31 @@ def _classifier_from(tree: dict, blocks, offset_of) -> KernelClassifier:
     return KernelClassifier(
         centers=_take_tensor(tree["centers"], blocks, offset_of),
         weights=_take_tensor(tree["weights"], blocks, offset_of),
-        sigma=float(tree["sigma"]), lam=float(tree["lam"]))
+        sigma=value_of(tree, "sigma", float), lam=value_of(tree, "lam", float))
 
 
 def _regressor_from(tree: dict, blocks, offset_of) -> RlsRegressor:
     return RlsRegressor(
         weights=_take_tensor(tree["weights"], blocks, offset_of),
         bias=_take_tensor(tree["bias"], blocks, offset_of),
-        lam=float(tree["lam"]))
+        lam=value_of(tree, "lam", float))
+
+
+def _by_class(pairs):
+    """The ``[class_id, value]`` pairs of a bank, each class id checked."""
+    for pair in pairs:
+        _, value = pair
+        yield value_of(pair, 0, int), value
 
 
 def _bank_from(items, decode, blocks, offset_of) -> dict:
-    return {int(key): decode(tree, blocks, offset_of) for key, tree in items}
+    return {key: decode(tree, blocks, offset_of)
+            for key, tree in _by_class(items)}
 
 
 def _grid_tree(grid: AnchorGrid) -> dict:
     return {"image_size": list(grid.image_size), "stride": grid.stride,
             "anchor_shapes": [list(s) for s in grid.anchor_shapes]}
-
-
-def _grid_from(tree: dict) -> AnchorGrid:
-    return AnchorGrid(
-        image_size=tuple(tree["image_size"]), stride=int(tree["stride"]),
-        anchor_shapes=tuple(tuple(float(v) for v in s)
-                            for s in tree["anchor_shapes"]))
 
 
 def _header_tree(model: PipelineModel, sink: _TensorSink) -> dict:
@@ -205,7 +208,7 @@ def load_pipeline(path) -> PipelineModel:
         return offsets[index] if 0 <= index < len(offsets) else 0
 
     with binio.malformed("model header", len(MAGIC) + 12):
-        grid = _grid_from(header["grid"])
+        grid = grid_from_json(header["grid"])
         rpn_tree = header["rpn"]
         rpn = OnlineRpnModel(
             grid=grid,
@@ -213,7 +216,7 @@ def load_pipeline(path) -> PipelineModel:
                                    blocks, offset_of),
             regressors=_bank_from(rpn_tree["regressors"], _regressor_from,
                                   blocks, offset_of),
-            failures={int(k): v for k, v in rpn_tree["failures"]},
+            failures=dict(_by_class(rpn_tree["failures"])),
         )
         det_tree = header["detection"]
         detection = OnlineDetectionModel(
@@ -228,6 +231,6 @@ def load_pipeline(path) -> PipelineModel:
                                    blocks, offset_of),
         )
         return PipelineModel(
-            class_names=tuple(header["class_names"]), rpn=rpn,
+            class_names=value_of(header, "class_names", str, (0,)), rpn=rpn,
             detection=detection, segmentation=segmentation,
             manifest=header.get("manifest", {}))

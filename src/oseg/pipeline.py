@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import platform
 import time
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -27,6 +27,7 @@ import numpy as np
 import scipy
 
 import oseg
+from oseg.binio import value_of
 from oseg.detection import (detect, detection_incremental_update,
                             train_detection_from_reservoir)
 from oseg.evaluation import InstancePrediction
@@ -75,16 +76,6 @@ class ProtocolConfig:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}; "
                              f"expected one of {PROTOCOLS}")
-        # a JSON config can hold strings, booleans and NaN in any field
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool)
-                                    or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and (isinstance(value, bool)
-                                      or not isinstance(value, numbers.Real)
-                                      or not math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         for name in ("num_batches", "batch_size", "rpn_centers",
                      "detection_centers", "segmentation_centers"):
             if getattr(self, name) < 1:
@@ -106,13 +97,15 @@ class ProtocolConfig:
 
     @staticmethod
     def from_json(tree: dict) -> "ProtocolConfig":
+        """A config from a JSON tree; each value has its field's kind."""
         if not isinstance(tree, dict):
             raise ValueError(f"a config must be a JSON object, got {tree!r}")
-        known = {f.name for f in dataclasses.fields(ProtocolConfig)}
-        extra = set(tree) - known
+        kinds = typing.get_type_hints(ProtocolConfig)
+        extra = set(tree) - set(kinds)
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        return ProtocolConfig(**tree)
+        return ProtocolConfig(**{key: value_of(tree, key, kinds[key])
+                                 for key in tree})
 
 
 def _module_seed(seed: int, tag: str) -> int:

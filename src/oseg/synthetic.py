@@ -30,7 +30,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .feature_store import DatasetHeader, FeatureRecord, GtObject, write_dataset
+from .binio import value_of
+from .feature_store import (CONTRACT, DatasetHeader, FeatureRecord, GtObject,
+                            write_dataset)
 from .geometry import (
     AnchorGrid,
     BinaryMask,
@@ -47,16 +49,11 @@ _PLACEMENT_TRIES = 60
 _BACKGROUND_TRIES = 100
 _BORDER_MARGIN = 2
 _GAP = 4
-# the generator keys a header stores beyond "kind", with their readers
-_GENERATOR_KEYS = {
-    "seed": int,
-    "noise": float,
-    "active_classes": lambda v: tuple(int(c) for c in v),
-    "min_objects": int,
-    "max_objects": int,
-    "proposals_per_gt": int,
-    "background_proposals": int,
-}
+# the generator keys a header stores beyond "kind", with their kinds
+_GENERATOR_KEYS = {"seed": (int,), "noise": (float,),
+                   "active_classes": (int, (0,)), "min_objects": (int,),
+                   "max_objects": (int,), "proposals_per_gt": (int,),
+                   "background_proposals": (int,)}
 
 
 @dataclass(frozen=True)
@@ -117,6 +114,8 @@ class SyntheticWorld:
 
     def __post_init__(self):
         self.class_names = tuple(self.class_names)
+        self.image_size = tuple(self.image_size)
+        self.anchor_shapes = tuple(tuple(s) for s in self.anchor_shapes)
         if not self.class_names:
             raise ValueError("need at least one class")
         if not 0 <= self.noise < np.inf:  # NaN fails every comparison
@@ -124,19 +123,17 @@ class SyntheticWorld:
         if not 1 <= self.min_objects <= self.max_objects:
             raise ValueError("need 1 <= min_objects <= max_objects")
         if self.active_classes is None:
-            self.active_classes = tuple(range(len(self.class_names)))
-        else:
-            self.active_classes = tuple(int(c) for c in self.active_classes)
+            self.active_classes = range(len(self.class_names))
+        self.active_classes = tuple(self.active_classes)
         if not self.active_classes:
             raise ValueError("need at least one active class")
         for c in self.active_classes:
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise ValueError(f"active_classes holds {c!r}, not a class index")
             if not 0 <= c < len(self.class_names):
                 raise ValueError(f"active class {c} out of range")
-        self.grid = AnchorGrid(
-            image_size=tuple(self.image_size),
-            stride=self.stride,
-            anchor_shapes=tuple(tuple(s) for s in self.anchor_shapes),
-        )
+        self.grid = AnchorGrid(image_size=self.image_size, stride=self.stride,
+                               anchor_shapes=self.anchor_shapes)
         n = len(self.class_names)
         self._rpn_protos = _orthonormal_rows(
             n, self.rpn_dim, rng_for(self.seed, "prototypes", "rpn")
@@ -399,24 +396,10 @@ class SyntheticWorld:
 
     def header(self) -> DatasetHeader:
         return DatasetHeader(
-            class_names=self.class_names,
-            image_size=tuple(self.image_size),
-            stride=self.stride,
-            anchor_shapes=tuple(tuple(s) for s in self.anchor_shapes),
-            rpn_dim=self.rpn_dim,
-            det_dim=self.det_dim,
-            seg_dim=self.seg_dim,
-            mask_grid=self.mask_grid,
-            generator={
-                "kind": "synthetic",
-                "seed": self.seed,
-                "noise": self.noise,
-                "active_classes": list(self.active_classes),
-                "min_objects": self.min_objects,
-                "max_objects": self.max_objects,
-                "proposals_per_gt": self.proposals_per_gt,
-                "background_proposals": self.background_proposals,
-            },
+            **{name: getattr(self, name) for name in CONTRACT},
+            generator={"kind": "synthetic",
+                       **{key: getattr(self, key) for key in _GENERATOR_KEYS},
+                       "active_classes": list(self.active_classes)},  # as read back
         )
 
     @staticmethod
@@ -426,24 +409,13 @@ class SyntheticWorld:
             raise ValueError("dataset was not produced by the synthetic oracle")
         kw = {}
         for key, kind in _GENERATOR_KEYS.items():
-            if key not in gen:
-                raise ValueError(f"synthetic generator lacks key {key!r}")
             try:
-                kw[key] = kind(gen[key])
-            except (TypeError, ValueError) as exc:
+                kw[key] = value_of(gen, key, *kind)
+            except ValueError as exc:
                 raise ValueError(f"synthetic generator key {key!r}: "
                                  f"{exc}") from exc
         return SyntheticWorld(
-            class_names=header.class_names,
-            image_size=header.image_size,
-            stride=header.stride,
-            anchor_shapes=header.anchor_shapes,
-            rpn_dim=header.rpn_dim,
-            det_dim=header.det_dim,
-            seg_dim=header.seg_dim,
-            mask_grid=header.mask_grid,
-            **kw,
-        )
+            **{name: getattr(header, name) for name in CONTRACT}, **kw)
 
 
 def generate_dataset(path, world: SyntheticWorld, num_images: int,

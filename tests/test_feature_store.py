@@ -3,11 +3,16 @@
 import dataclasses
 import gc
 import json
+import math
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oseg import binio
 from oseg.feature_store import (
@@ -261,7 +266,10 @@ def degenerate_first_box(meta):
     (degenerate_first_box, "degenerate"),
     (lambda meta: meta.update(proposal_source="stosed"),
      "unknown proposal source 'stosed'"),
-], ids=["class-id", "image-size", "degenerate-box", "unknown-source"])
+    (lambda meta: meta.update(image_id=3.7), "image_id: expected int"),
+    (lambda meta: meta["gts"][0].update(class_id=1.9), "class_id: expected int"),
+], ids=["class-id", "image-size", "degenerate-box", "unknown-source",
+        "fractional-image-id", "fractional-class-id"])
 def test_record_breaking_the_header_contract_is_a_format_error(tmp_path, edit,
                                                                message):
     path = tmp_path / "d.oseg"
@@ -350,6 +358,67 @@ def test_generator_that_is_not_an_object_is_refused(tmp_path, generator):
         binio.write_preamble(fh, DATASET_MAGIC, DATASET_VERSION, tree)
     with pytest.raises(FormatError, match="generator must be an object") as err:
         read_dataset(path)
+    assert err.value.offset == len(DATASET_MAGIC) + 12
+
+
+# -- checked readers: a value of the wrong kind is refused, never cast --------
+
+
+def header_tree() -> dict:
+    """A valid dataset header tree, as a reader gets it from JSON."""
+    return json.loads(binio.canonical_json(small_world().header().to_json()))
+
+
+def write_header(path, tree) -> None:
+    with open(path, "wb") as fh:
+        binio.write_preamble(fh, DATASET_MAGIC, DATASET_VERSION, tree)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("stride", True), ("stride", 16.9), ("rpn_dim", 64.7),
+    ("class_names", "ab"), ("image_size", ["320", "320"])])
+def test_header_value_of_the_wrong_kind_is_a_format_error(tmp_path, key,
+                                                           value):
+    path = tmp_path / "d.oseg"
+    write_header(path, dict(header_tree(), **{key: value}))
+    with pytest.raises(FormatError, match=f"{key}: expected") as err:
+        read_dataset(path)
+    assert err.value.offset == len(DATASET_MAGIC) + 12
+
+
+def header_positions(tree):
+    """Every top-level value of a header tree, and every item of its
+    lists and of their lists, as a path of keys."""
+    for key, value in tree.items():
+        yield (key,)
+        for i, item in enumerate(value if isinstance(value, list) else []):
+            yield (key, i)
+            if isinstance(item, list):
+                yield from ((key, i, j) for j in range(len(item)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_any_mistyped_header_value_is_a_format_error(data):
+    tree = header_tree()
+    where = data.draw(st.sampled_from(list(header_positions(tree))))
+    value = data.draw(st.booleans() | st.text(max_size=4)
+                      | st.floats().filter(lambda f: not f.is_integer()))
+    # a class name may be any string, an anchor side any finite number
+    assume(not (where[0] == "class_names" and len(where) == 2
+                and isinstance(value, str)))
+    assume(not (where[0] == "anchor_shapes" and len(where) == 3
+                and isinstance(value, float) and math.isfinite(value)))
+    target = tree
+    for step in where[:-1]:
+        target = target[step]
+    target[where[-1]] = value
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "d.oseg"
+        write_header(path, tree)
+        with pytest.raises(FormatError) as err:
+            read_dataset(path)
+    assert where[0] in str(err.value)
     assert err.value.offset == len(DATASET_MAGIC) + 12
 
 
@@ -649,13 +718,36 @@ def test_from_header_names_a_missing_key(key):
 
 @pytest.mark.parametrize("key, value", [("noise", "loud"), ("seed", None),
                                         ("active_classes", 3),
-                                        ("max_objects", [2])])
+                                        ("max_objects", [2]),
+                                        ("max_objects", 2.7), ("seed", True),
+                                        ("active_classes", [0.9, 1])])
 def test_from_header_names_an_ill_typed_key(key, value):
     header = small_world().header()
     generator = dict(header.generator, **{key: value})
     with pytest.raises(ValueError, match=f"key '{key}'"):
         SyntheticWorld.from_header(dataclasses.replace(header,
                                                        generator=generator))
+
+
+@pytest.mark.parametrize("active", [(0.9, 1), (True, 1), ("0",)])
+def test_active_classes_must_be_class_indices(active):
+    with pytest.raises(ValueError, match="active_classes"):
+        small_world(active_classes=active)
+
+
+def test_header_survives_a_world_round_trip():
+    # every contract field off its default, so each one must be carried
+    world = SyntheticWorld(
+        class_names=("a", "b", "c"), noise=0.25, seed=31,
+        image_size=(128, 96), stride=32, anchor_shapes=((32.0, 16.0),),
+        rpn_dim=4, det_dim=5, seg_dim=6, mask_grid=4, active_classes=(0, 2),
+        min_objects=2, max_objects=2, proposals_per_gt=3,
+        background_proposals=1)
+    header = world.header()
+    again = SyntheticWorld.from_header(header).header()
+    assert again == header
+    assert (binio.canonical_json(again.to_json())
+            == binio.canonical_json(header.to_json()))
 
 
 def test_generate_checks_its_count_at_the_call(tmp_path):

@@ -174,7 +174,7 @@ class TestCorruption:
 
     @pytest.mark.parametrize("name, class_id, value", [
         ("weights", 0, np.nan), ("sigma", 1, np.inf), ("sigma", 1, -1.0),
-        ("lam", 0, np.nan), ("lam", 0, -1e-5)])
+        ("lam", 0, np.nan), ("lam", 0, -1e-5), ("sigma", 0, "5.0")])
     def test_corrupt_values_rejected(self, trained, tmp_path, name, class_id,
                                      value):
         path = tmp_path / "model.oseg"
@@ -210,3 +210,24 @@ class TestCorruption:
             binio.write_preamble(fh, MAGIC, VERSION, {"class_names": ["a"]})
         with pytest.raises(FormatError, match="header"):
             load_pipeline(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h["grid"].update(image_size=[320.5, 320]), "image_size"),
+        (lambda h: h["detection"]["classifiers"][0].__setitem__(0, 0.4),
+         "got 0.4"),
+    ], ids=["grid-image-size", "fractional-class-key"])
+    def test_value_it_would_cast_is_refused(self, trained, tmp_path, edit,
+                                            message):
+        path = tmp_path / "model.oseg"
+        save_pipeline(path, trained)
+        with open(path, "rb") as fh:
+            _, header = binio.read_preamble(fh, MAGIC, (VERSION,))
+            blocks = list(iter(lambda: binio.read_block(fh), None))
+        edit(header)
+        with open(path, "wb") as fh:
+            binio.write_preamble(fh, MAGIC, VERSION, header)
+            for block in blocks:
+                binio.write_block(fh, block)
+        with pytest.raises(FormatError, match=message) as caught:
+            load_pipeline(path)
+        assert caught.value.offset == len(MAGIC) + 12

@@ -145,6 +145,11 @@ class TestProtocolConfig:
         with pytest.raises(ValueError, match=key):
             ProtocolConfig.from_json({key: value})
 
+    def test_int_in_a_float_field_reads_as_a_float(self):
+        config = ProtocolConfig.from_json({"rpn_sigma": 5, "seed": 3})
+        assert type(config.rpn_sigma) is float and config.rpn_sigma == 5.0
+        assert type(config.seed) is int
+
 
 class TestTimingLedger:
     def test_phase_accounting(self):
