@@ -41,7 +41,7 @@ def main():
             result = pipeline.train_ours(world.header(), train, config)
         preds = pipeline.infer_dataset(result.model, test, featurizer)
         map50 = 100.0 * evaluate(preds, test).mean_ap("segm", 0.5)
-        seconds = result.ledger.training_seconds(stream_mode=False)
+        seconds = result.ledger.post_acquisition_seconds()
         rows.append((num_batches, f"{map50:.2f}", f"{seconds:.2f}"))
         print(f"{num_batches:>4} {map50:>10.2f}% {seconds:>10.2f}s")
 

@@ -158,12 +158,9 @@ def cmd_eval(args) -> int:
         model, records, featurizer,
         use_stored_proposals=args.stored_proposals,
         with_masks=not args.bbox_only)
-    report = evaluate(predictions, records, thresholds=(0.5, 0.7),
-                      kinds=kinds)
+    report = evaluate(predictions, records, kinds=kinds)
 
-    columns = [("bbox", 0.5), ("bbox", 0.7)]
-    if not args.bbox_only:
-        columns += [("segm", 0.5), ("segm", 0.7)]
+    columns = [(k, t) for k in report.kinds for t in report.thresholds]
     lines = ["class," + ",".join(f"ap{int(100 * t)}_{k}_pct"
                                  for k, t in columns)]
     for n in report.class_ids:

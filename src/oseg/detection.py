@@ -29,6 +29,10 @@ POS_IOU = 0.6
 NEG_IOU = 0.3
 REG_LAM = 1e-6
 
+# the class classifiers' kernel width and ridge
+SIGMA = 5.0
+LAM = 1e-5
+
 # inference: score cut, per-class suppression overlap and output cap
 SCORE_THRESHOLD = 0.0
 NMS_IOU = 0.3

@@ -18,7 +18,8 @@ from oseg import geometry
 from oseg.geometry import BinaryMask, Box
 
 KINDS = ("bbox", "segm")
-DEFAULT_THRESHOLDS = (0.5, 0.7)
+# the IoU thresholds that every report scores at
+THRESHOLDS = (0.5, 0.7)
 
 
 @dataclass(frozen=True)
@@ -167,9 +168,9 @@ def average_precision(predictions, records, class_id: int,
     return None if score is None else score.ap
 
 
-def evaluate(predictions, records, thresholds=DEFAULT_THRESHOLDS,
-             kinds=KINDS) -> EvalReport:
-    """Score predictions against the records at every (kind, threshold).
+def evaluate(predictions, records, kinds=KINDS) -> EvalReport:
+    """Score predictions against the records at every kind and every
+    threshold of ``THRESHOLDS``.
 
     Only classes with at least one ground truth instance are scored; the
     mean AP averages over exactly those classes.
@@ -177,13 +178,9 @@ def evaluate(predictions, records, thresholds=DEFAULT_THRESHOLDS,
     records = list(records)
     predictions = list(predictions)
     kinds = tuple(kinds)
-    thresholds = tuple(float(t) for t in thresholds)
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown overlap kind {kind!r}")
-    for thr in thresholds:
-        if not 0.0 < thr <= 1.0:
-            raise ValueError("IoU threshold must lie in (0, 1]")
     seen = set()
     for record in records:
         if record.image_id in seen:
@@ -198,12 +195,12 @@ def evaluate(predictions, records, thresholds=DEFAULT_THRESHOLDS,
     scores = {}
     means = {}
     for kind in kinds:
-        for thr in thresholds:
+        for thr in THRESHOLDS:
             cell = {}
             for n in class_ids:
                 cell[n] = _score_class(predictions, records, n, thr, kind)
             scores[(kind, thr)] = cell
             aps = [cell[n].ap for n in class_ids]
             means[(kind, thr)] = sum(aps) / len(aps) if aps else 0.0
-    return EvalReport(kinds=kinds, thresholds=thresholds,
+    return EvalReport(kinds=kinds, thresholds=THRESHOLDS,
                       class_ids=tuple(class_ids), scores=scores, means=means)

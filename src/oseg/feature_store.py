@@ -20,6 +20,7 @@ generator that fills these records lives in :mod:`oseg.synthetic`.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import weakref
 from dataclasses import dataclass, field
@@ -89,6 +90,8 @@ class FeatureRecord:
                              f"source {self.proposal_source!r}")
         if not np.isfinite(self.proposal_features).all():
             raise ValueError(f"record {self.image_id}: non-finite proposal")
+        if not np.isfinite(boxes).all():
+            raise ValueError(f"record {self.image_id}: non-finite proposal box")
         if not ((boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])).all():
             raise ValueError(f"record {self.image_id}: degenerate proposal box")
         for g in self.gt_objects:
@@ -229,7 +232,10 @@ def _unpack_record(payload: bytes, header: DatasetHeader, offset: int) -> Featur
     listed = meta["proposal_boxes"]
     count = len(listed)
     features = take(count * header.det_dim, _F8, "proposal features")
-    # ``validate`` checks the shape of what the meta lists
+    # one type check over every coordinate, so that a string or a bool is
+    # never cast; ``validate`` checks the shape of what the meta lists
+    if not set(map(type, itertools.chain.from_iterable(listed))) <= {float, int}:
+        raise ValueError("proposal_boxes: every coordinate must be a number")
     boxes = np.array(listed or np.empty((0, 4)), dtype=np.float64)
     s = header.mask_grid
     gts = []

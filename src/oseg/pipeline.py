@@ -27,6 +27,7 @@ import numpy as np
 import scipy
 
 import oseg
+from oseg import detection, rpn
 from oseg.binio import value_of
 from oseg.detection import (detect, detection_incremental_update,
                             train_detection_from_reservoir)
@@ -38,8 +39,8 @@ from oseg.model_io import PipelineModel
 from oseg.rpn import (propose, rpn_incremental_update,
                       train_rpn_from_reservoir)
 from oseg.seeding import rng_for
-from oseg.segmentation import (SegmentationConfig, extend_segmentation,
-                               predict_mask, train_online_segmentation)
+from oseg.segmentation import (extend_segmentation, predict_mask,
+                               train_online_segmentation)
 
 PROTOCOLS = ("ours", "ours_serial")
 
@@ -55,7 +56,10 @@ SEGMENTATION_TRAINING = "segmentation-training"
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Every knob of a training run; mirrors the JSON config file 1:1."""
+    """Every setting that runs vary; mirrors the JSON config file 1:1.
+
+    Kernel widths, ridges and the segmentation pixel fraction are
+    constants of their heads."""
 
     protocol: str = "ours"
     num_batches: int = 10
@@ -63,13 +67,6 @@ class ProtocolConfig:
     rpn_centers: int = 1000
     detection_centers: int = 1000
     segmentation_centers: int = 500
-    pixel_fraction: float = 0.3
-    rpn_sigma: float = 5.0
-    rpn_lam: float = 1e-5
-    detection_sigma: float = 5.0
-    detection_lam: float = 1e-5
-    segmentation_sigma: float = 5.0
-    segmentation_lam: float = 1e-5
     seed: int = 0
 
     def __post_init__(self):
@@ -80,14 +77,6 @@ class ProtocolConfig:
                      "detection_centers", "segmentation_centers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if not 0.0 < self.pixel_fraction <= 1.0:
-            raise ValueError("pixel_fraction must be in (0, 1]")
-        for name in ("rpn_sigma", "detection_sigma", "segmentation_sigma"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("rpn_lam", "detection_lam", "segmentation_lam"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
 
     def replace(self, **kw) -> "ProtocolConfig":
         return dataclasses.replace(self, **kw)
@@ -147,17 +136,11 @@ class TimingLedger:
     def post_acquisition_seconds(self) -> float:
         return sum(p.seconds for p in self.phases if p.name != ACQUISITION)
 
-    def training_seconds(self, stream_mode: bool = False) -> float:
-        """Reported training time; overlappable phases count only when
-        there is no stream to hide them behind."""
-        total = 0.0
-        for p in self.phases:
-            if p.name == ACQUISITION:
-                continue
-            if stream_mode and p.overlappable:
-                continue
-            total += p.seconds
-        return total
+    def training_seconds(self) -> float:
+        """Reported stream-mode training time: the post-acquisition time
+        less the overlappable phases, which the stream hides."""
+        return sum(p.seconds for p in self.phases
+                   if p.name != ACQUISITION and not p.overlappable)
 
 
 @contextmanager
@@ -299,17 +282,17 @@ class IncrementalTrainer:
         self.dataset_hash = dataset_hash
         self.featurizer = featurizer if serial else None
 
-        def pool(centers, sigma, lam):
+        def pool(centers, head):
             return BootstrapConfig(num_batches=config.num_batches,
                                    batch_size=config.batch_size,
-                                   num_centers=centers, sigma=sigma, lam=lam)
+                                   num_centers=centers, sigma=head.SIGMA,
+                                   lam=head.LAM)
 
         self.rpn_reservoir = RpnReservoir(
-            config=pool(config.rpn_centers, config.rpn_sigma, config.rpn_lam),
+            config=pool(config.rpn_centers, rpn),
             seed=_module_seed(config.seed, "rpn"))
         self.detection_reservoir = DetectionReservoir(
-            config=pool(config.detection_centers, config.detection_sigma,
-                        config.detection_lam),
+            config=pool(config.detection_centers, detection),
             seed=_module_seed(config.seed, "detection"))
         self.segmentation_model = None
         self.class_ids: tuple = ()
@@ -369,18 +352,15 @@ class IncrementalTrainer:
             det_model = train_detection_from_reservoir(
                 det_reservoir, _module_seed(config.seed, "detection"))
         with _timed(ledger, SEGMENTATION_TRAINING):
-            seg_config = SegmentationConfig(
-                num_centers=config.segmentation_centers,
-                sigma=config.segmentation_sigma, lam=config.segmentation_lam,
-                subsample=config.pixel_fraction)
             seg_seed = _module_seed(config.seed, "segmentation")
             if self.segmentation_model is None:
                 segmentation = train_online_segmentation(
-                    records, new_class_ids, seg_config, seg_seed)
+                    records, new_class_ids, config.segmentation_centers,
+                    seg_seed)
             else:
                 segmentation = extend_segmentation(
                     self.segmentation_model, records, new_class_ids,
-                    seg_config, seg_seed)
+                    config.segmentation_centers, seg_seed)
 
         self.rpn_reservoir, self.detection_reservoir = (rpn_reservoir,
                                                         det_reservoir)
@@ -470,8 +450,7 @@ def simulate_stream(header: DatasetHeader, records, stream_fps: float,
                         stream_seconds=stream_seconds,
                         extraction_seconds=extraction_seconds,
                         residual_seconds=residual,
-                        training_seconds=ledger.training_seconds(
-                            stream_mode=True))
+                        training_seconds=ledger.training_seconds())
 
 
 def infer(model: PipelineModel, record, featurizer=None,

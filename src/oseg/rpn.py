@@ -37,6 +37,10 @@ NEG_IOU = 0.3
 REG_IOU = 0.7
 REG_LAM = 1e-6
 
+# the objectness classifiers' kernel width and ridge
+SIGMA = 5.0
+LAM = 1e-5
+
 # inference: score ranking, suppression overlap and proposal cap
 PRE_NMS_TOP_K = 1000
 NMS_IOU = 0.7

@@ -24,28 +24,17 @@ from .incremental import UntrainableClassError, subsample_rows
 from .kernels import train_kernel_classifier
 from .seeding import rng_for
 
+# training: kernel width, ridge and the per-object pixel fraction
+SIGMA = 5.0
+LAM = 1e-5
+PIXEL_FRACTION = 0.3
+
 # inference: a pixel whose resized score reaches this is in the mask
 MASK_THRESHOLD = 0.0
 
 
 class UntrainedClassError(LookupError):
     """Mask prediction was asked for a class the model never trained."""
-
-
-@dataclass(frozen=True)
-class SegmentationConfig:
-    """Kernel hyper-parameters and the pixel subsample fraction."""
-
-    num_centers: int
-    sigma: float
-    lam: float
-    subsample: float
-
-    def __post_init__(self):
-        if not 0.0 < self.subsample <= 1.0:
-            raise ValueError("subsample fraction must be in (0, 1]")
-        if self.num_centers < 1:
-            raise ValueError("num_centers must be >= 1")
 
 
 @dataclass
@@ -103,20 +92,21 @@ def build_segmentation_training_sets(records, class_ids, fraction: float, seed) 
 def train_online_segmentation(
     records,
     class_ids,
-    config: SegmentationConfig,
+    num_centers: int,
     seed,
 ) -> OnlineSegmentationModel:
-    """Fit one per-pixel classifier per requested class."""
-    sets = build_segmentation_training_sets(records, class_ids, config.subsample, seed)
+    """Fit one per-pixel classifier per requested class on
+    ``PIXEL_FRACTION`` of each object's pixels."""
+    sets = build_segmentation_training_sets(records, class_ids, PIXEL_FRACTION, seed)
     classifiers = {}
     for n in sorted(sets):
         p, q = sets[n]
         classifiers[n] = train_kernel_classifier(
             p,
             q,
-            num_centers=min(config.num_centers, p.shape[0] + q.shape[0]),
-            sigma=config.sigma,
-            lam=config.lam,
+            num_centers=min(num_centers, p.shape[0] + q.shape[0]),
+            sigma=SIGMA,
+            lam=LAM,
             seed=rng_for(seed, "seg-centers", n),
         )
     return OnlineSegmentationModel(classifiers)
@@ -126,7 +116,7 @@ def extend_segmentation(
     model: OnlineSegmentationModel,
     records,
     new_class_ids,
-    config: SegmentationConfig,
+    num_centers: int,
     seed,
 ) -> OnlineSegmentationModel:
     """Add classifiers for new classes; existing ones are carried over.
@@ -140,7 +130,7 @@ def extend_segmentation(
         raise ValueError(f"classes already trained: {clash}")
     if not new_class_ids:
         return OnlineSegmentationModel(dict(model.classifiers))
-    grown = train_online_segmentation(records, new_class_ids, config, seed)
+    grown = train_online_segmentation(records, new_class_ids, num_centers, seed)
     merged = dict(model.classifiers)
     merged.update(grown.classifiers)
     return OnlineSegmentationModel(merged)

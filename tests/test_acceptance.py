@@ -115,7 +115,7 @@ def test_03_batch_count_tradeoff(capsys, sweep_world, sweep_train,
         result = quiet(pipeline.train_ours, sweep_world.header(),
                        sweep_train, SWEEP_CONFIG.replace(
                            num_batches=num_batches))
-        times.append(result.ledger.training_seconds(stream_mode=False))
+        times.append(result.ledger.post_acquisition_seconds())
         scores.append(percent_maps(result.model, sweep_test,
                                    sweep_featurizer)[("segm", 0.5)])
     elapsed = time.perf_counter() - t0

@@ -118,8 +118,19 @@ class TestTrain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_head_constant_in_config_fails(self, work, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"pixel_fraction": 0.3}))
+        out = tmp_path / "m.oseg"
+        code = run("train", "--dataset", str(work / "train.oseg"),
+                   "--out", str(out), "--config", str(cfg))
+        assert code == 2
+        assert ("error: unknown config keys: ['pixel_fraction']"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("tree", [{"num_batches": "10"},
-                                      {"rpn_lam": float("nan")}])
+                                      {"detection_centers": float("nan")}])
     def test_malformed_config_value_fails(self, work, tmp_path, capsys, tree):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(tree))

@@ -361,7 +361,5 @@ class TestEvaluate:
         records, preds = two_class_world()
         with pytest.raises(ValueError, match="kind"):
             evaluate(preds, records, kinds=("boxes",))
-        with pytest.raises(ValueError, match="threshold"):
-            evaluate(preds, records, thresholds=(0.0,))
         with pytest.raises(ValueError, match="finite"):
             InstancePrediction(0, 1, float("nan"), Box(0, 0, 10, 10))

@@ -260,6 +260,19 @@ def degenerate_first_box(meta):
     meta["proposal_boxes"][0] = [10.0, 10.0, 10.0, 20.0]
 
 
+def string_coordinate(meta):
+    box = meta["proposal_boxes"][0]
+    box[0] = str(box[0])
+
+
+def bool_coordinate(meta):
+    meta["proposal_boxes"][0][0] = True
+
+
+def infinite_coordinate(meta):
+    meta["proposal_boxes"][0][2] = float("inf")
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda meta: meta["gts"][0].update(class_id=7), "class out of range"),
     (lambda meta: meta.update(image_size=[228, 128]), "image size mismatch"),
@@ -268,8 +281,12 @@ def degenerate_first_box(meta):
      "unknown proposal source 'stosed'"),
     (lambda meta: meta.update(image_id=3.7), "image_id: expected int"),
     (lambda meta: meta["gts"][0].update(class_id=1.9), "class_id: expected int"),
+    (string_coordinate, "proposal_boxes"),
+    (bool_coordinate, "proposal_boxes"),
+    (infinite_coordinate, "non-finite proposal box"),
 ], ids=["class-id", "image-size", "degenerate-box", "unknown-source",
-        "fractional-image-id", "fractional-class-id"])
+        "fractional-image-id", "fractional-class-id", "string-coordinate",
+        "bool-coordinate", "infinite-coordinate"])
 def test_record_breaking_the_header_contract_is_a_format_error(tmp_path, edit,
                                                                message):
     path = tmp_path / "d.oseg"

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oseg import pipeline
+from oseg import detection, pipeline, rpn, segmentation
 from oseg.evaluation import evaluate
 from oseg.geometry import mask_iou
 from oseg.incremental import UntrainableClassError
@@ -16,7 +16,6 @@ from oseg.model_io import classifier_bytes, model_bytes
 from oseg.pipeline import (ACQUISITION, BACKLOG, DETECTION_TRAINING,
                            EXTRACTION_1, EXTRACTION_2, ProtocolConfig,
                            TimingLedger, WorldFeaturizer, stream_residual)
-from oseg.segmentation import SegmentationConfig
 from oseg.synthetic import SyntheticWorld
 
 SMALL = dict(num_batches=2, batch_size=300, rpn_centers=150,
@@ -106,7 +105,6 @@ class TestProtocolConfig:
         assert cfg.protocol == "ours"
         assert (cfg.rpn_centers, cfg.detection_centers,
                 cfg.segmentation_centers) == (1000, 1000, 500)
-        assert cfg.pixel_fraction == 0.3
 
     def test_json_round_trip(self, config):
         again = ProtocolConfig.from_json(config.to_json())
@@ -116,15 +114,20 @@ class TestProtocolConfig:
         with pytest.raises(ValueError, match="unknown config"):
             ProtocolConfig.from_json({"protocol": "ours", "bogus": 1})
 
+    def test_head_constant_is_no_config_key(self):
+        with pytest.raises(ValueError,
+                           match=r"unknown config keys: \['rpn_sigma'\]"):
+            ProtocolConfig.from_json({"rpn_sigma": 5.0})
+
     @pytest.mark.parametrize("kw", [
         dict(protocol="parallel"),
         dict(num_batches=0),
         dict(batch_size=0),
         dict(rpn_centers=0),
-        dict(pixel_fraction=0.0),
-        dict(pixel_fraction=1.5),
-        dict(detection_sigma=0.0),
-        dict(segmentation_lam=-1.0),
+        dict(detection_centers=0.0),
+        dict(segmentation_centers=-1.0),
+        dict(num_batches=-1),
+        dict(protocol="Ours"),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
@@ -136,19 +139,14 @@ class TestProtocolConfig:
         ("rpn_centers", True),
         ("seed", 1.5),
         ("seed", False),
-        ("rpn_lam", float("nan")),
-        ("detection_sigma", float("inf")),
-        ("pixel_fraction", "0.3"),
-        ("segmentation_lam", None),
+        ("rpn_centers", float("nan")),
+        ("detection_centers", float("inf")),
+        ("segmentation_centers", "0.3"),
+        ("protocol", None),
     ])
     def test_rejects_wrong_types_naming_the_key(self, key, value):
         with pytest.raises(ValueError, match=key):
             ProtocolConfig.from_json({key: value})
-
-    def test_int_in_a_float_field_reads_as_a_float(self):
-        config = ProtocolConfig.from_json({"rpn_sigma": 5, "seed": 3})
-        assert type(config.rpn_sigma) is float and config.rpn_sigma == 5.0
-        assert type(config.seed) is int
 
 
 class TestTimingLedger:
@@ -161,8 +159,7 @@ class TestTimingLedger:
         assert ledger.extraction_passes == 2
         assert ledger.total_seconds() == 19.0
         assert ledger.post_acquisition_seconds() == 9.0
-        assert ledger.training_seconds(stream_mode=False) == 9.0
-        assert ledger.training_seconds(stream_mode=True) == 6.0
+        assert ledger.training_seconds() == 6.0
 
     def test_seconds_by_name(self):
         ledger = TimingLedger()
@@ -429,26 +426,17 @@ class TestIncrementalTrainer:
                                                     train_records,
                                                     monkeypatch):
         cfg = ProtocolConfig(num_batches=3, batch_size=77, rpn_centers=11,
-                             detection_centers=22, segmentation_centers=33,
-                             pixel_fraction=0.5, rpn_sigma=1.0, rpn_lam=0.1,
-                             detection_sigma=2.0, detection_lam=0.2,
-                             segmentation_sigma=3.0, segmentation_lam=0.3)
-        seg_configs = []
-        train_segmentation = pipeline.train_online_segmentation
-
-        def recording(records, class_ids, config, seed):
-            seg_configs.append(config)
-            return train_segmentation(records, class_ids, config, seed)
-
-        monkeypatch.setattr(pipeline, "train_online_segmentation", recording)
+                             detection_centers=22, segmentation_centers=33)
+        for head, sigma, lam in ((rpn, 1.0, 0.1), (detection, 2.0, 0.2),
+                                 (segmentation, 3.0, 0.3)):
+            monkeypatch.setattr(head, "SIGMA", sigma)
+            monkeypatch.setattr(head, "LAM", lam)
         trainer = pipeline.IncrementalTrainer(header, cfg)
         model = quiet_train(trainer.add_sequence, train_records).model
         assert trainer.rpn_reservoir.config == BootstrapConfig(
             num_batches=3, batch_size=77, num_centers=11, sigma=1.0, lam=0.1)
         assert trainer.detection_reservoir.config == BootstrapConfig(
             num_batches=3, batch_size=77, num_centers=22, sigma=2.0, lam=0.2)
-        assert seg_configs == [SegmentationConfig(
-            num_centers=33, sigma=3.0, lam=0.3, subsample=0.5)]
         for head, want in ((model.rpn, (11, 1.0, 0.1)),
                            (model.detection, (22, 2.0, 0.2)),
                            (model.segmentation, (33, 3.0, 0.3))):

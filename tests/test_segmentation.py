@@ -10,7 +10,6 @@ from oseg.geometry import Box, mask_iou
 from oseg.incremental import UntrainableClassError
 from oseg.segmentation import (
     OnlineSegmentationModel,
-    SegmentationConfig,
     UntrainedClassError,
     build_segmentation_training_sets,
     extend_segmentation,
@@ -74,10 +73,6 @@ def reference_training_sets(records, class_ids, fraction, seed):
             pos[gt.class_id].append(reference_subsample_side(flat[labels], fraction, rng_pos))
             neg[gt.class_id].append(reference_subsample_side(flat[~labels], fraction, rng_neg))
     return {n: (np.concatenate(pos[n]), np.concatenate(neg[n])) for n in class_ids}
-
-
-def small_config(sigma=0.5, lam=1e-4):
-    return SegmentationConfig(num_centers=300, sigma=sigma, lam=lam, subsample=0.3)
 
 
 class TestSubsampling:
@@ -145,7 +140,7 @@ class TestTraining:
     def test_noise_free_training_accuracy_is_one(self):
         world = SyntheticWorld(class_names=["a", "b"], noise=0.0, seed=3, max_objects=2)
         records = list(world.generate(12))
-        model = train_online_segmentation(records, [0, 1], small_config(), seed=0)
+        model = train_online_segmentation(records, [0, 1], num_centers=300, seed=0)
         for record in records:
             for gt in record.gt_objects:
                 clf = model.classifiers[gt.class_id]
@@ -156,15 +151,15 @@ class TestTraining:
     def test_single_class_fit(self):
         world = SyntheticWorld(class_names=["only"], noise=0.0, seed=4, max_objects=1)
         model = train_online_segmentation(
-            list(world.generate(5)), [0], small_config(), seed=0
+            list(world.generate(5)), [0], num_centers=300, seed=0
         )
         assert model.class_ids == (0,)
 
     def test_seeded_determinism(self):
         world = SyntheticWorld(class_names=["a"], noise=0.2, seed=5, max_objects=1)
         records = list(world.generate(8))
-        a = train_online_segmentation(records, [0], small_config(), seed=1)
-        b = train_online_segmentation(records, [0], small_config(), seed=1)
+        a = train_online_segmentation(records, [0], num_centers=300, seed=1)
+        b = train_online_segmentation(records, [0], num_centers=300, seed=1)
         np.testing.assert_array_equal(a.classifiers[0].weights, b.classifiers[0].weights)
         np.testing.assert_array_equal(a.classifiers[0].centers, b.classifiers[0].centers)
 
@@ -176,11 +171,11 @@ class TestExtend:
             active_classes=[0, 1], max_objects=1,
         )
         base = train_online_segmentation(
-            list(world.generate(8)), [0, 1], small_config(), seed=0
+            list(world.generate(8)), [0, 1], num_centers=300, seed=0
         )
         world.active_classes = (2,)
         grown = extend_segmentation(
-            base, list(world.generate(8, start_id=100)), [2], small_config(), seed=0
+            base, list(world.generate(8, start_id=100)), [2], num_centers=300, seed=0
         )
         assert grown.class_ids == (0, 1, 2)
         assert grown.classifiers[0] is base.classifiers[0]
@@ -190,15 +185,15 @@ class TestExtend:
     def test_clash_rejected(self):
         world = SyntheticWorld(class_names=["a"], noise=0.0, seed=7, max_objects=1)
         records = list(world.generate(5))
-        model = train_online_segmentation(records, [0], small_config(), seed=0)
+        model = train_online_segmentation(records, [0], num_centers=300, seed=0)
         with pytest.raises(ValueError, match="already trained"):
-            extend_segmentation(model, records, [0], small_config(), seed=0)
+            extend_segmentation(model, records, [0], num_centers=300, seed=0)
 
     def test_no_new_classes_copies(self):
         world = SyntheticWorld(class_names=["a"], noise=0.0, seed=8, max_objects=1)
         records = list(world.generate(5))
-        model = train_online_segmentation(records, [0], small_config(), seed=0)
-        twin = extend_segmentation(model, [], [], small_config(), seed=0)
+        model = train_online_segmentation(records, [0], num_centers=300, seed=0)
+        twin = extend_segmentation(model, [], [], num_centers=300, seed=0)
         assert twin is not model
         assert twin.classifiers[0] is model.classifiers[0]
 
@@ -266,7 +261,7 @@ class TestPredictMask:
             class_names=["a", "b"], noise=0.0, seed=9, max_objects=2, mask_grid=28
         )
         records = list(world.generate(15))
-        model = train_online_segmentation(records, [0, 1], small_config(), seed=0)
+        model = train_online_segmentation(records, [0, 1], num_centers=300, seed=0)
         ious = []
         for record in list(world.generate(6, start_id=50)):
             for gt in record.gt_objects:
@@ -279,7 +274,7 @@ class TestPredictMask:
     def test_gt_box_mask_iou_default_grid_floor(self):
         world = SyntheticWorld(class_names=["a"], noise=0.0, seed=10, max_objects=1)
         records = list(world.generate(12))
-        model = train_online_segmentation(records, [0], small_config(), seed=0)
+        model = train_online_segmentation(records, [0], num_centers=300, seed=0)
         ious = []
         for record in list(world.generate(6, start_id=50)):
             for gt in record.gt_objects:
