@@ -30,7 +30,7 @@ def main():
     test = list(world.generate(40, start_id=10_000))
     featurizer = WorldFeaturizer(world)
 
-    rows = [("num_batches", "map50_segm_pct", "training_seconds")]
+    rows = [("num_batches", "map50_segm_pct", "post_acquisition_seconds")]
     print(f"{args.images} images, noise {args.noise}")
     print(f"{'n_B':>4} {'mAP50 segm':>11} {'train time':>11}")
     for num_batches in (1, 2, 5, 10):

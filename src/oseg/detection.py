@@ -95,26 +95,11 @@ def detection_labeler(class_ids):
     return labeler
 
 
-def detection_incremental_update(
-    reservoir: DetectionReservoir,
-    records,
-    class_ids,
-    new_class_ids=(),
-) -> None:
-    """Absorb a sequence into the detection reservoir.
-
-    ``class_ids`` is the full set trained after this update; classes in
-    ``new_class_ids`` must not exist in the reservoir yet and must find
-    at least one positive in the new sequence.
-    """
-    new_class_ids = tuple(new_class_ids)
-    clash = [c for c in new_class_ids if c in reservoir.keys()]
-    if clash:
-        raise ValueError(f"classes already in the reservoir: {clash}")
+def detection_incremental_update(reservoir: DetectionReservoir, records,
+                                 class_ids) -> None:
+    """Absorb a sequence into the detection reservoir; ``class_ids`` is
+    the full set trained after this update."""
     reservoir.update(records, detection_labeler(class_ids))
-    starved = [c for c in new_class_ids if reservoir.positives[c].shape[0] == 0]
-    if starved:
-        raise UntrainableClassError(starved, context="new classes")
 
 
 def train_detection_from_reservoir(
@@ -124,7 +109,8 @@ def train_detection_from_reservoir(
     """Mine per-class classifiers from the reservoir and fit regressors.
 
     Unlike the proposal module, a class that cannot be trained is an
-    error: callers asked for it by name.
+    error: callers asked for it by name.  Any class without positives,
+    new or old, fails here.
     """
     starved = [n for n, p in reservoir.positives.items() if p.shape[0] == 0]
     if starved:

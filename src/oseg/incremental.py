@@ -67,6 +67,14 @@ def subsample_rows(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return rows[idx]
 
 
+def _subsample(rows: np.ndarray, k: int, *seed) -> np.ndarray:
+    """``subsample_rows`` under ``rng_for(*seed)``, which is built only
+    when rows must go."""
+    if k >= rows.shape[0]:
+        return rows
+    return subsample_rows(rows, k, rng_for(*seed))
+
+
 def _as_features(a, width: int | None) -> tuple[np.ndarray, int | None]:
     a = np.asarray(a, dtype=np.float64)
     if a.size == 0:
@@ -139,9 +147,8 @@ class SampleReservoir:
     def _downsample_old(self, quota: int, t: int) -> None:
         for key, per_image in self.negatives.items():
             for image_id, rows in per_image.items():
-                per_image[image_id] = subsample_rows(
-                    rows, quota, rng_for(self.seed, "down", t, key, image_id)
-                )
+                per_image[image_id] = _subsample(
+                    rows, quota, self.seed, "down", t, key, image_id)
 
     def _blank_key(self, key) -> None:
         # a key first seen now gets explicit empty lists on all old images
@@ -187,9 +194,8 @@ class SampleReservoir:
                 pos, self.feature_dim = _as_features(pos, self.feature_dim)
                 neg, self.feature_dim = _as_features(neg, self.feature_dim)
                 _append(self.positives, key, pos)
-                self.negatives[key][image_id] = subsample_rows(
-                    neg, quota, rng_for(self.seed, "stage1", key, image_id)
-                )
+                self.negatives[key][image_id] = _subsample(
+                    neg, quota, self.seed, "stage1", key, image_id)
             for key, (_, _, x, y) in labeled.items():
                 x = np.atleast_2d(np.asarray(x, dtype=np.float64))
                 if x.size:
@@ -230,17 +236,15 @@ class DetectionReservoir(SampleReservoir):
             rows, self.feature_dim = _as_features(
                 record.proposal_features, self.feature_dim
             )
-            self.buffers[image_id] = subsample_rows(
-                rows, quota, rng_for(self.seed, "buffer", image_id)
-            )
+            self.buffers[image_id] = _subsample(
+                rows, quota, self.seed, "buffer", image_id)
         self._ingest(records, new_ids, labeler, quota)
 
     def _downsample_old(self, quota: int, t: int) -> None:
         super()._downsample_old(quota, t)
         for image_id, rows in self.buffers.items():
-            self.buffers[image_id] = subsample_rows(
-                rows, quota, rng_for(self.seed, "down-buffer", t, image_id)
-            )
+            self.buffers[image_id] = _subsample(
+                rows, quota, self.seed, "down-buffer", t, image_id)
 
     def negative_lists(self, key) -> list:
         stored = super().negative_lists(key)
@@ -265,7 +269,6 @@ def sampling_equivalence_test(
     trials: int = 150000,
     seed=0,
     sampler=subsample_rows,
-    alpha: float = 0.01,
 ) -> EquivalenceResult:
     """Check that chained uniform subsampling is uniform overall.
 
@@ -273,8 +276,9 @@ def sampling_equivalence_test(
     intermediate sizes and finally to ``subset_size``, counting how often
     each of the ``C(pool_size, subset_size)`` subsets appears; a
     chi-square goodness-of-fit test against the uniform distribution
-    passes when the p-value exceeds ``alpha``.  ``sampler`` exists so a
-    deliberately biased sampler can serve as a negative control.
+    passes when the p-value exceeds the fixed 0.01 level.  ``sampler``
+    exists so a deliberately biased sampler can serve as a negative
+    control.
     """
     sizes = [pool_size, *chain, subset_size]
     if any(b > a for a, b in zip(sizes, sizes[1:])) or subset_size < 1:
@@ -307,5 +311,5 @@ def sampling_equivalence_test(
         dof=num_subsets - 1,
         num_subsets=num_subsets,
         trials=trials,
-        passed=bool(p_value > alpha),
+        passed=bool(p_value > 0.01),
     )

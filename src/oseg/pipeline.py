@@ -302,10 +302,12 @@ class IncrementalTrainer:
     def add_sequence(self, records) -> TrainResult:
         """Ingest one sequence and return the retrained pipeline.
 
-        The classes present in the records that the model has not seen
-        yet are added.  The heads train on forks of the reservoirs, and
-        the trainer keeps them only once every head has trained, so a
-        sequence that fails to train leaves the trainer as it was.
+        This is the one place that decides which classes a sequence
+        adds: those present in the records that the model has not seen
+        yet.  A class without positives fails detection training.  The
+        heads train on forks of the reservoirs, and the trainer keeps
+        them only once every head has trained, so a sequence that fails
+        to train leaves the trainer as it was.
         """
         serial = self.featurizer is not None
         if serial and self.sequences:
@@ -329,15 +331,11 @@ class IncrementalTrainer:
         config, grid = self.config, self.header.grid
         rpn_reservoir = self.rpn_reservoir.fork()
         det_reservoir = self.detection_reservoir.fork()
-
-        def fill_detection(records):
-            detection_incremental_update(det_reservoir, records, class_ids,
-                                         new_class_ids)
-
         with _timed(ledger, EXTRACTION_1):
             rpn_incremental_update(rpn_reservoir, records, grid)
             if not serial:
-                fill_detection(records)
+                detection_incremental_update(det_reservoir, records,
+                                             class_ids)
         with _timed(ledger, RPN_TRAINING):
             rpn_model = train_rpn_from_reservoir(
                 rpn_reservoir, grid, _module_seed(config.seed, "rpn"))
@@ -348,7 +346,8 @@ class IncrementalTrainer:
             if serial:
                 # the adapted records exist only after pass 2, so filling the
                 # reservoir from them counts as detection training
-                fill_detection(records)
+                detection_incremental_update(det_reservoir, records,
+                                             class_ids)
             det_model = train_detection_from_reservoir(
                 det_reservoir, _module_seed(config.seed, "detection"))
         with _timed(ledger, SEGMENTATION_TRAINING):
@@ -373,19 +372,6 @@ class IncrementalTrainer:
         model = PipelineModel(self.header.class_names, rpn_model, det_model,
                               segmentation, manifest=manifest)
         return TrainResult(model, ledger)
-
-
-def train_incremental(header: DatasetHeader, sequences,
-                      config: ProtocolConfig,
-                      dataset_hash=None) -> TrainResult:
-    """Run ``IncrementalTrainer`` over a list of record sequences."""
-    trainer = IncrementalTrainer(header, config, dataset_hash)
-    result = None
-    for records in sequences:
-        result = trainer.add_sequence(records)
-    if result is None:
-        raise ValueError("need at least one sequence")
-    return result
 
 
 @dataclass(frozen=True)
@@ -420,17 +406,18 @@ def stream_residual(num_frames: int, stream_fps: float,
 
 def simulate_stream(header: DatasetHeader, records, stream_fps: float,
                     extraction_fps: float, config: ProtocolConfig,
-                    featurizer=None, dataset_hash=None) -> StreamResult:
+                    dataset_hash=None) -> StreamResult:
     """Train while modeling acquisition and extraction as a timed stream.
 
     Frames arrive at ``stream_fps`` while extraction consumes them at
     ``extraction_fps``; extraction overlaps the stream, so only the
     backlog remaining at the last frame counts toward training time.  The
     on-line training phases (and the serial protocol's second pass) are
-    measured for real and always count.
+    measured for real and always count.  The serial protocol's second
+    pass featurizes through the dataset's own synthetic oracle.
     """
     _require_fps(stream_fps, extraction_fps)
-    result = train(header, records, config, featurizer, dataset_hash)
+    result = train(header, records, config, dataset_hash=dataset_hash)
     num_frames = result.model.manifest["num_records"]
     stream_seconds = num_frames / stream_fps
     extraction_seconds = num_frames / extraction_fps

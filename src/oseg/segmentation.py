@@ -128,8 +128,6 @@ def extend_segmentation(
     clash = [n for n in new_class_ids if n in model.classifiers]
     if clash:
         raise ValueError(f"classes already trained: {clash}")
-    if not new_class_ids:
-        return OnlineSegmentationModel(dict(model.classifiers))
     grown = train_online_segmentation(records, new_class_ids, num_centers, seed)
     merged = dict(model.classifiers)
     merged.update(grown.classifiers)

@@ -136,7 +136,9 @@ def test_04_incremental_matches_batch(capsys, sweep_world, sweep_train,
     header = sweep_world.header()
     batch = quiet(pipeline.train_ours, header, sweep_train, SWEEP_CONFIG)
     thirds = [sweep_train[0:100], sweep_train[100:200], sweep_train[200:300]]
-    inc = quiet(pipeline.train_incremental, header, thirds, SWEEP_CONFIG)
+    trainer = pipeline.IncrementalTrainer(header, SWEEP_CONFIG)
+    for records in thirds:
+        inc = quiet(trainer.add_sequence, records)
     a = percent_maps(batch.model, sweep_test, sweep_featurizer)
     b = percent_maps(inc.model, sweep_test, sweep_featurizer)
     gap_bbox = abs(a[("bbox", 0.5)] - b[("bbox", 0.5)])

@@ -59,7 +59,7 @@ LARGE_POOL = BootstrapConfig(num_batches=10, batch_size=2000, num_centers=1000,
 def fill_reservoir(records, class_ids, config=LARGE_POOL, seed=0):
     """Ingest one sequence in which every class is new."""
     reservoir = DetectionReservoir(config=config, seed=seed)
-    detection_incremental_update(reservoir, records, class_ids, new_class_ids=class_ids)
+    detection_incremental_update(reservoir, records, class_ids)
     return reservoir
 
 
@@ -140,8 +140,9 @@ class TestTrainingSets:
 
     def test_starved_class_raises_with_keys(self):
         record = FakeRecord(0, [(0, (40.0, 40.0, 104.0, 104.0))], [(0.0, 0.0, 10.0, 10.0)])
+        reservoir = fill_reservoir([record], [0, 1])
         with pytest.raises(UntrainableClassError) as info:
-            fill_reservoir([record], [0, 1])
+            train_detection_from_reservoir(reservoir, seed=0)
         assert set(info.value.keys) == {0, 1}
 
 

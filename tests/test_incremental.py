@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oseg import incremental
 from oseg.incremental import (
     DetectionReservoir,
     RpnReservoir,
@@ -12,7 +13,8 @@ from oseg.incremental import (
     sampling_equivalence_test,
     subsample_rows,
 )
-from oseg.detection import detection_incremental_update
+from oseg.detection import (detection_incremental_update,
+                            train_detection_from_reservoir)
 from oseg.minibootstrap import BootstrapConfig
 from oseg.seeding import rng_for
 
@@ -113,6 +115,31 @@ class TestReservoirQuota:
         res.update(make_records(50, 50, positives_on=60), dict_labeler)
         assert res.positives[0].shape[0] == first.shape[0] + 2
         np.testing.assert_array_equal(res.positives[0][: first.shape[0]], first)
+
+
+class TestGenerators:
+    def test_only_lists_that_shrink_build_a_generator(self, monkeypatch):
+        built = []
+
+        def counting(*components):
+            built.append(components)
+            return rng_for(*components)
+
+        monkeypatch.setattr(incremental, "rng_for", counting)
+        res = DetectionReservoir(config=small_config(4, 100), seed=0)
+
+        def records(start, count):
+            # 30 negatives and 30 buffer rows per image
+            out = make_records(start, count)
+            for record in out:
+                record.proposal_features = tagged_rows(record.image_id, 30)
+            return out
+
+        res.update(records(0, 10), dict_labeler)  # quota 40
+        res.update(records(10, 3), dict_labeler)  # quota 31
+        assert built == []
+        res.update(records(13, 7), dict_labeler)  # quota 20: every list shrinks
+        assert len(built) == 2 * 20
 
 
 class TestReservoirBookkeeping:
@@ -342,17 +369,10 @@ class TestIncrementalGuards:
         )
         return list(world.generate(count, start_id=start)), world
 
-    def test_new_class_clash_rejected(self):
-        records, _ = self.make_records(0, 3, [0])
-        res = DetectionReservoir(config=small_config(2, 30), seed=0)
-        detection_incremental_update(res, records, [0], new_class_ids=[0])
-        more, _ = self.make_records(3, 3, [0])
-        with pytest.raises(ValueError, match="already in the reservoir"):
-            detection_incremental_update(res, more, [0], new_class_ids=[0])
-
     def test_starved_new_class_raises(self):
         records, _ = self.make_records(0, 3, [0])
         res = DetectionReservoir(config=small_config(2, 30), seed=0)
+        detection_incremental_update(res, records, [0, 2])
         with pytest.raises(UntrainableClassError) as info:
-            detection_incremental_update(res, records, [0, 2], new_class_ids=[0, 2])
+            train_detection_from_reservoir(res, seed=0)
         assert info.value.keys == (2,)

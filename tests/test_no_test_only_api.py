@@ -1,6 +1,6 @@
 """Every public name in ``src/oseg`` has a caller outside the tests,
-every config field is set outside the tests, and no module imports a
-name it never uses.
+every config field and every defaulted parameter is set outside the
+tests, and no module imports a name it never uses.
 
 A public function or class counts as used when its name occurs anywhere
 in ``src/oseg``, ``demos/`` or ``perfbench/`` other than its own
@@ -19,7 +19,6 @@ SOURCE = ROOT / "src" / "oseg"
 
 # names that only tests call on purpose, with the reason each stays
 KEPT = {
-    "train_incremental": "acceptance check 04 runs the incremental protocol",
     "average_precision": "acceptance check 09 scores one class",
     "set_layout": "test seam: pins an explicit synthetic layout",
     "background_prototype": "test seam: the oracle's background feature row",
@@ -127,6 +126,78 @@ def test_every_config_field_is_set_outside_the_tests():
         and not (cls in ANY_CALLEE and name in keywords)
     )
     assert not unset, f"config fields only the tests set: {unset}"
+
+
+# defaulted parameters that only tests pass, with the reason each stays
+KEPT_PARAMETERS = {
+    ("main", "argv"): "the console script passes no argv; tests pass one",
+}
+
+
+def _callables(tree):
+    """``(callee, function, skipped)`` for every public function, method
+    and constructor.  A constructor is called by its class's name, and
+    ``skipped`` counts the ``self`` or ``cls`` that a call does not pass."""
+    owner = {id(item): node for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) for item in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        cls = owner.get(id(node))
+        static = any(getattr(d, "id", None) == "staticmethod"
+                     for d in node.decorator_list)
+        name = cls.name if cls and node.name == "__init__" else node.name
+        if not name.startswith("_"):
+            yield name, node, 0 if cls is None or static else 1
+
+
+def _defaulted(function, skipped):
+    """``(parameter, position)`` for every defaulted parameter; the
+    position counts a call's positional arguments, and is ``None`` for a
+    keyword-only parameter."""
+    args = function.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    for index in range(first, len(positional)):
+        yield positional[index].arg, index - skipped
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _calls(tree):
+    """``(callee, positional count, keywords, unpacks)`` for every call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            keywords = {keyword.arg for keyword in node.keywords}
+            unpacks = (None in keywords
+                       or any(isinstance(a, ast.Starred) for a in node.args))
+            yield (getattr(node.func, "id", getattr(node.func, "attr", None)),
+                   len(node.args), keywords, unpacks)
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    # a call sets a defaulted parameter when it names it, reaches its
+    # position or unpacks ``*``/``**``; the match is by callee name only
+    calls = [call for path in _non_test_files()
+             for call in _calls(_parse(path))]
+
+    def passed(callee, parameter, position):
+        return any(name == callee and (unpacks or parameter in keywords
+                                       or (position is not None
+                                           and position < count))
+                   for name, count, keywords, unpacks in calls)
+
+    unset = sorted(
+        f"{path.name}:{function.lineno} {callee}({parameter})"
+        for path in SOURCE.glob("*.py")
+        for callee, function, skipped in _callables(_parse(path))
+        if callee not in KEPT
+        for parameter, position in _defaulted(function, skipped)
+        if (callee, parameter) not in KEPT_PARAMETERS
+        and not passed(callee, parameter, position)
+    )
+    assert not unset, f"parameters only the tests pass: {unset}"
 
 
 def _imported_names(tree):

@@ -9,7 +9,7 @@ import pytest
 
 from oseg import detection, pipeline, rpn, segmentation
 from oseg.evaluation import evaluate
-from oseg.geometry import mask_iou
+from oseg.geometry import box_array, iou_matrix, mask_iou
 from oseg.incremental import UntrainableClassError
 from oseg.minibootstrap import BootstrapConfig
 from oseg.model_io import classifier_bytes, model_bytes
@@ -422,6 +422,39 @@ class TestIncrementalTrainer:
         want = quiet_train(clean.add_sequence, second)
         assert model_bytes(got.model) == model_bytes(want.model)
 
+    def test_new_class_without_positives_fails_the_sequence(self, config):
+        world = small_world(class_names=("a", "b", "c"), seed=21,
+                            active_classes=(0, 1))
+        first = list(world.generate(10))
+        world.active_classes = (0, 1, 2)
+        second = []
+        for record in world.generate(10, start_id=200):
+            # drop every stored proposal that could be a class-2 positive
+            gts = box_array(g.box for g in record.gt_objects
+                            if g.class_id == 2)
+            keep = np.ones(len(record.proposal_boxes), dtype=bool)
+            if len(gts):
+                keep = iou_matrix(record.proposal_boxes, gts).max(axis=1) < 0.6
+            second.append(dataclasses.replace(
+                record, proposal_boxes=record.proposal_boxes[keep],
+                proposal_features=record.proposal_features[keep]))
+        assert any(g.class_id == 2 for r in second for g in r.gt_objects)
+        trainer = pipeline.IncrementalTrainer(world.header(), config)
+        quiet_train(trainer.add_sequence, first)
+        before = (trainer.rpn_reservoir, trainer.detection_reservoir,
+                  trainer.segmentation_model)
+        with pytest.raises(UntrainableClassError) as info:
+            quiet_train(trainer.add_sequence, second)
+        assert info.value.keys == (2,)
+        after = (trainer.rpn_reservoir, trainer.detection_reservoir,
+                 trainer.segmentation_model)
+        assert all(x is y for x, y in zip(after, before))
+        assert len(trainer.rpn_reservoir.image_ids) == 10
+        assert len(trainer.detection_reservoir.image_ids) == 10
+        assert sorted(trainer.detection_reservoir.keys()) == [0, 1]
+        assert trainer.class_ids == (0, 1)
+        assert (trainer.num_records, trainer.sequences) == (10, 1)
+
     def test_each_head_trains_with_its_own_settings(self, header,
                                                     train_records,
                                                     monkeypatch):
@@ -477,15 +510,6 @@ class TestIncrementalTrainer:
             clf = second.model.segmentation.classifiers[n]
             assert classifier_bytes(clf) == payload
 
-    def test_helper_runs_all_sequences(self, header, train_records, config):
-        halves = [train_records[:8], train_records[8:]]
-        result = quiet_train(pipeline.train_incremental, header, halves,
-                             config)
-        assert result.model.manifest["sequences"] == 2
-        assert result.model.manifest["num_records"] == 16
-        with pytest.raises(ValueError, match="sequence"):
-            pipeline.train_incremental(header, [], config)
-
 
 class TestSimulateStream:
     def test_absorbed_extraction(self, header, train_records, config):
@@ -506,11 +530,10 @@ class TestSimulateStream:
         assert result.stream_seconds == pytest.approx(16.0 / 3.0)
 
     def test_serial_pass_two_always_counts(self, header, train_records,
-                                           config, featurizer):
+                                           config):
         result = quiet_train(pipeline.simulate_stream, header,
                              train_records, 3.0, 14.7,
-                             config.replace(protocol="ours_serial"),
-                             featurizer)
+                             config.replace(protocol="ours_serial"))
         assert result.residual_seconds == 0.0
         assert result.ledger.extraction_passes == 2
         pass2 = phase_seconds(result.ledger, EXTRACTION_2)
