@@ -10,11 +10,21 @@ Kernel matrices come from one BLAS matrix product, as in FALKON (Rudi et
 al., 2017), rather than from pairwise differences; see
 :func:`gaussian_kernel` for the precision this costs.  The centers are
 rows of the training set, so a fit takes ``K_mm`` from rows of ``K_nm``.
+
+Training (``IncrementalTrainer.add_sequence``) runs inside
+:func:`one_blas_thread`, which holds the OpenBLAS thread pools of numpy
+and scipy at one thread each: on few cores the two pools no longer
+compete, and the model bytes no longer depend on ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -24,6 +34,55 @@ from .seeding import rng_for
 
 class SolverError(RuntimeError):
     """Linear system could not be factorized even after regularization."""
+
+
+# package, and the thread-count getter/setter its bundled OpenBLAS exports
+_OPENBLAS = (("numpy", "scipy_openblas_{}_num_threads64_"),
+             ("scipy", "scipy_openblas_{}_num_threads"))
+
+
+def _openblas_pools() -> list:
+    """``(get, set)`` thread-count functions of each OpenBLAS that an
+    imported package of ``_OPENBLAS`` has loaded from its wheel's
+    ``<package>.libs`` directory."""
+    pools = []
+    for package, symbol in _OPENBLAS:
+        module = sys.modules.get(package)
+        if module is None:
+            continue
+        libs = Path(module.__file__).parents[1] / f"{package}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*.so")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                get = getattr(lib, symbol.format("get"))
+                set_threads = getattr(lib, symbol.format("set"))
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            pools.append((get, set_threads))
+    return pools
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with each OpenBLAS pool found at one thread.
+
+    The previous counts come back on exit, also when the block raises.
+    Where no pool is found, for example with a numpy built against a
+    system BLAS, this does nothing.  Setting ``OPENBLAS_NUM_THREADS``
+    would not do: OpenBLAS reads it only when the library loads.  The
+    counts are per process, so two threads must not train at once.
+    """
+    pools = _openblas_pools()
+    previous = [get() for get, _ in pools]
+    for _, set_threads in pools:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(pools, previous):
+            set_threads(count)
 
 
 def gaussian_kernel(x, centers, sigma: float) -> np.ndarray:

@@ -34,6 +34,7 @@ from oseg.detection import (detect, detection_incremental_update,
 from oseg.evaluation import InstancePrediction
 from oseg.feature_store import DatasetHeader
 from oseg.incremental import DetectionReservoir, RpnReservoir
+from oseg.kernels import one_blas_thread
 from oseg.minibootstrap import BootstrapConfig
 from oseg.model_io import PipelineModel
 from oseg.rpn import (propose, rpn_incremental_update,
@@ -299,6 +300,7 @@ class IncrementalTrainer:
         self.num_records = 0
         self.sequences = 0
 
+    @one_blas_thread()
     def add_sequence(self, records) -> TrainResult:
         """Ingest one sequence and return the retrained pipeline.
 
@@ -307,7 +309,8 @@ class IncrementalTrainer:
         yet.  A class without positives fails detection training.  The
         heads train on forks of the reservoirs, and the trainer keeps
         them only once every head has trained, so a sequence that fails
-        to train leaves the trainer as it was.
+        to train leaves the trainer as it was.  It runs on one BLAS
+        thread (:func:`oseg.kernels.one_blas_thread`).
         """
         serial = self.featurizer is not None
         if serial and self.sequences:

@@ -1,13 +1,17 @@
 """Training protocols, stream timing and inference."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oseg import detection, pipeline, rpn, segmentation
+from oseg import detection, kernels, pipeline, rpn, segmentation
 from oseg.evaluation import evaluate
 from oseg.geometry import box_array, iou_matrix, mask_iou
 from oseg.incremental import UntrainableClassError
@@ -50,6 +54,28 @@ def quiet_train(fn, *args, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return fn(*args, **kw)
+
+
+def starved_new_class():
+    """A world, a first sequence of classes 0 and 1, and a second one
+    that adds class 2 without a stored proposal that could be its
+    positive."""
+    world = small_world(class_names=("a", "b", "c"), seed=21,
+                        active_classes=(0, 1))
+    first = list(world.generate(10))
+    world.active_classes = (0, 1, 2)
+    second = []
+    for record in world.generate(10, start_id=200):
+        # drop every stored proposal that could be a class-2 positive
+        gts = box_array(g.box for g in record.gt_objects if g.class_id == 2)
+        keep = np.ones(len(record.proposal_boxes), dtype=bool)
+        if len(gts):
+            keep = iou_matrix(record.proposal_boxes, gts).max(axis=1) < 0.6
+        second.append(dataclasses.replace(
+            record, proposal_boxes=record.proposal_boxes[keep],
+            proposal_features=record.proposal_features[keep]))
+    assert any(g.class_id == 2 for r in second for g in r.gt_objects)
+    return world, first, second
 
 
 @pytest.fixture(scope="module")
@@ -423,22 +449,7 @@ class TestIncrementalTrainer:
         assert model_bytes(got.model) == model_bytes(want.model)
 
     def test_new_class_without_positives_fails_the_sequence(self, config):
-        world = small_world(class_names=("a", "b", "c"), seed=21,
-                            active_classes=(0, 1))
-        first = list(world.generate(10))
-        world.active_classes = (0, 1, 2)
-        second = []
-        for record in world.generate(10, start_id=200):
-            # drop every stored proposal that could be a class-2 positive
-            gts = box_array(g.box for g in record.gt_objects
-                            if g.class_id == 2)
-            keep = np.ones(len(record.proposal_boxes), dtype=bool)
-            if len(gts):
-                keep = iou_matrix(record.proposal_boxes, gts).max(axis=1) < 0.6
-            second.append(dataclasses.replace(
-                record, proposal_boxes=record.proposal_boxes[keep],
-                proposal_features=record.proposal_features[keep]))
-        assert any(g.class_id == 2 for r in second for g in r.gt_objects)
+        world, first, second = starved_new_class()
         trainer = pipeline.IncrementalTrainer(world.header(), config)
         quiet_train(trainer.add_sequence, first)
         before = (trainer.rpn_reservoir, trainer.detection_reservoir,
@@ -630,3 +641,106 @@ class TestFeaturizer:
                 (record.proposal_boxes == g.box.as_array()).all(axis=1))
             want = featurizer.detection(record.image_id, g.box.as_array())[0]
             assert np.allclose(record.proposal_features[row], want)
+
+
+# trains a 30-image world with 2 x 500 mining batches and prints the
+# sha256 of the model bytes
+TRAIN_AND_HASH = """
+import hashlib, warnings
+from oseg import model_io, pipeline
+from oseg.synthetic import SyntheticWorld
+warnings.simplefilter("ignore", UserWarning)
+world = SyntheticWorld(class_names=("a", "b", "c"), noise=1.0, seed=13)
+config = pipeline.ProtocolConfig(num_batches=2, batch_size=500,
+                                 rpn_centers=300, detection_centers=300,
+                                 segmentation_centers=200, seed=4)
+result = pipeline.train_ours(world.header(), list(world.generate(30)),
+                             config)
+print(hashlib.sha256(model_io.model_bytes(result.model)).hexdigest())
+"""
+
+
+def pool_counts(pools):
+    return [get() for get, _ in pools]
+
+
+@pytest.fixture
+def pools():
+    """The bundled OpenBLAS pools, each at two threads for the test."""
+    pools = kernels._openblas_pools()
+    previous = pool_counts(pools)
+    for _, set_threads in pools:
+        set_threads(2)
+    yield pools
+    for (_, set_threads), count in zip(pools, previous):
+        set_threads(count)
+
+
+@pytest.mark.skipif(not kernels._openblas_pools(),
+                    reason="no bundled OpenBLAS library is loaded")
+class TestOneBlasThread:
+    def record_counts(self, monkeypatch, pools):
+        """Counts of ``pools`` read whenever the proposal module trains."""
+        seen = []
+        original = pipeline.train_rpn_from_reservoir
+
+        def train(*args):
+            seen.append(pool_counts(pools))
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "train_rpn_from_reservoir", train)
+        return seen
+
+    def test_model_bytes_do_not_depend_on_the_thread_count(self):
+        root = Path(__file__).resolve().parents[1]
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                       OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", TRAIN_AND_HASH],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=300)
+            assert done.returncode == 0, done.stderr
+            digests.add(done.stdout.split()[-1])
+        assert len(digests) == 1
+
+    def test_sequence_trains_at_one_thread_and_restores(
+            self, pools, monkeypatch, header, train_records, config):
+        seen = self.record_counts(monkeypatch, pools)
+        trainer = pipeline.IncrementalTrainer(header, config)
+        quiet_train(trainer.add_sequence, train_records)
+        assert seen == [[1] * len(pools)]
+        assert pool_counts(pools) == [2] * len(pools)
+
+    def test_failed_sequence_restores(self, pools, monkeypatch, config):
+        world, first, second = starved_new_class()
+        trainer = pipeline.IncrementalTrainer(world.header(), config)
+        quiet_train(trainer.add_sequence, first)
+        before = (trainer.rpn_reservoir, trainer.detection_reservoir,
+                  trainer.segmentation_model, trainer.class_ids)
+        seen = self.record_counts(monkeypatch, pools)
+        with pytest.raises(UntrainableClassError):
+            quiet_train(trainer.add_sequence, second)
+        assert seen == [[1] * len(pools)]
+        assert pool_counts(pools) == [2] * len(pools)
+        after = (trainer.rpn_reservoir, trainer.detection_reservoir,
+                 trainer.segmentation_model, trainer.class_ids)
+        assert all(x is y for x, y in zip(after, before))
+        assert (trainer.num_records, trainer.sequences) == (10, 1)
+
+    def test_no_op_without_a_library(self, pools, monkeypatch, header,
+                                     train_records, config):
+        want = model_bytes(quiet_train(pipeline.train_ours, header,
+                                       train_records, config).model)
+        # the real pools train at one thread, set from outside; inside,
+        # the helper finds no library and leaves them alone
+        with kernels.one_blas_thread():
+            monkeypatch.setattr(kernels, "_OPENBLAS", (
+                ("numpy", "no_such_{}_num_threads"),
+                ("no_such_package", "scipy_openblas_{}_num_threads")))
+            assert kernels._openblas_pools() == []
+            got = model_bytes(quiet_train(pipeline.train_ours, header,
+                                          train_records, config).model)
+        assert got == want
+        with kernels.one_blas_thread():
+            assert pool_counts(pools) == [2] * len(pools)
