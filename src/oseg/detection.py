@@ -9,7 +9,9 @@ per-image buffers instead of explicit negatives.
 
 Classes are independent: there is no softmax or cross-class
 suppression, so one region may legitimately yield detections for
-several classes.
+several classes.  :func:`detect` returns the
+:class:`~oseg.evaluation.InstancePrediction`s that evaluation scores,
+without masks; inference attaches those.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evaluation import InstancePrediction
 from .geometry import (Box, apply_targets, box_array, encode_targets,
                        iou_matrix, nms)
 from .incremental import DetectionReservoir, UntrainableClassError
@@ -51,16 +54,6 @@ class OnlineDetectionModel:
     @property
     def class_ids(self) -> tuple:
         return tuple(sorted(self.classifiers))
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One scored, refined detection of one class."""
-
-    class_id: int
-    score: float
-    box: Box
-    proposal_index: int
 
 
 def detection_labeler(class_ids):
@@ -126,17 +119,19 @@ def train_detection_from_reservoir(
 
 
 def detect(model: OnlineDetectionModel, record) -> list:
-    """Classify and refine the record's regions; returns Detections, best first.
+    """Classify and refine the record's regions; returns
+    ``InstancePrediction``s without masks, best first.
 
     Each class scores every region independently; scores below
     ``SCORE_THRESHOLD`` are dropped, the survivors' boxes are refined by
-    the class regressor, suppressed per class at ``NMS_IOU``, then
-    merged, sorted by descending score and capped at ``MAX_DETECTIONS``.
+    the class regressor and suppressed per class at ``NMS_IOU``.  All
+    classes' survivors are then ranked by descending score, class id and
+    proposal index, and the first ``MAX_DETECTIONS`` are returned.
     """
     features, boxes = record.proposal_features, record.proposal_boxes
-    detections: list[Detection] = []
     if features.shape[0] == 0:
-        return detections
+        return []
+    survivors = []  # (class id, proposal indices, scores, refined boxes)
     for n in sorted(model.classifiers):
         scores = model.classifiers[n].decision_values(features)
         keep = np.nonzero(scores >= SCORE_THRESHOLD)[0]
@@ -147,14 +142,16 @@ def detect(model: OnlineDetectionModel, record) -> list:
         keep, refined = keep[ok], refined[ok]
         if keep.size == 0:
             continue
-        for i in nms(refined, scores[keep], NMS_IOU):
-            detections.append(
-                Detection(
-                    class_id=n,
-                    score=float(scores[keep[i]]),
-                    box=Box.from_array(refined[i]),
-                    proposal_index=int(keep[i]),
-                )
-            )
-    detections.sort(key=lambda d: (-d.score, d.class_id, d.proposal_index))
-    return detections[:MAX_DETECTIONS]
+        kept = nms(refined, scores[keep], NMS_IOU)
+        survivors.append((np.full(kept.size, n), keep[kept],
+                          scores[keep[kept]], refined[kept]))
+    if not survivors:
+        return []
+    class_ids, indices, scores, refined = (
+        np.concatenate(column) for column in zip(*survivors))
+    order = np.lexsort((indices, class_ids, -scores))[:MAX_DETECTIONS]
+    return [InstancePrediction(image_id=record.image_id,
+                               class_id=int(class_ids[i]),
+                               score=float(scores[i]),
+                               box=Box.from_array(refined[i]))
+            for i in order]

@@ -1,7 +1,8 @@
 """Per-image negative reservoirs: stage 1 of the minibootstrap.
 
 A reservoir keeps, per binary problem key, the accumulated positives and
-a per-image list of candidate negatives; it is the only stage-1 store,
+a per-image list of candidate negatives, stored only for images that
+gave the key some negatives; it is the only stage-1 store,
 and :func:`oseg.minibootstrap.run_minibootstrap` mines it directly.
 When a new image sequence arrives, every stored per-image list is first
 downsampled to the new quota ``ceil(num_batches * batch_size /
@@ -16,7 +17,7 @@ exactly as if it had been collected from all sequences in one shot;
 an enumerable space.
 
 The detection reservoir additionally keeps a per-image buffer drawn from
-all proposal features of the image.  When a class has no recorded
+all proposal features of the image.  When a class has no stored
 negatives for some image (in particular on images that predate the
 class), the buffer stands in for them at training time.
 
@@ -150,14 +151,6 @@ class SampleReservoir:
                 per_image[image_id] = _subsample(
                     rows, quota, self.seed, "down", t, key, image_id)
 
-    def _blank_key(self, key) -> None:
-        # a key first seen now gets explicit empty lists on all old images
-        self.positives.setdefault(key, None)
-        per_image = self.negatives.setdefault(key, {})
-        for image_id in self.image_ids:
-            if image_id not in per_image:
-                per_image[image_id] = np.empty((0, self.feature_dim or 0))
-
     def update(self, records, labeler) -> None:
         """Absorb one sequence: shrink old lists, ingest new images.
         All or nothing: a fork does the work and is adopted on success."""
@@ -183,20 +176,15 @@ class SampleReservoir:
         return records, new_ids, quota
 
     def _ingest(self, records, new_ids, labeler, quota: int) -> None:
-        known_keys = set(self.negatives)
         for image_id, record in zip(new_ids, records):
-            labeled = labeler(record)
-            for key in labeled.keys() - known_keys:
-                known_keys.add(key)
-                self._blank_key(key)
-            for key in known_keys:
-                pos, neg, _, _ = labeled.get(key, ((), (), (), ()))
+            for key, (pos, neg, x, y) in labeler(record).items():
                 pos, self.feature_dim = _as_features(pos, self.feature_dim)
                 neg, self.feature_dim = _as_features(neg, self.feature_dim)
                 _append(self.positives, key, pos)
-                self.negatives[key][image_id] = _subsample(
-                    neg, quota, self.seed, "stage1", key, image_id)
-            for key, (_, _, x, y) in labeled.items():
+                per_image = self.negatives.setdefault(key, {})
+                if neg.shape[0]:
+                    per_image[image_id] = _subsample(
+                        neg, quota, self.seed, "stage1", key, image_id)
                 x = np.atleast_2d(np.asarray(x, dtype=np.float64))
                 if x.size:
                     _append(self.reg_features, key, x)
@@ -208,8 +196,10 @@ class SampleReservoir:
         self.updates += 1
 
     def negative_lists(self, key) -> list:
-        """A key's negatives as one array per image, in ingest order."""
-        return [self.negatives[key][image_id] for image_id in self.image_ids]
+        """A key's negatives as one array per image, in ingest order; an
+        image without stored rows reads as an empty array."""
+        per_image, empty = self.negatives[key], np.empty((0, self.feature_dim))
+        return [per_image.get(image_id, empty) for image_id in self.image_ids]
 
 
 @dataclass
@@ -223,8 +213,8 @@ class DetectionReservoir(SampleReservoir):
 
     ``buffers[image_id]`` holds a quota-bounded sample of the
     ``proposal_features`` of that image; it substitutes for a class's
-    negatives on any image whose recorded list is empty (images without
-    that class's objects, and all images older than the class).
+    negatives on any image without a stored list (images without that
+    class's objects, and all images older than the class).
     """
 
     buffers: dict = field(default_factory=dict)
@@ -247,9 +237,9 @@ class DetectionReservoir(SampleReservoir):
                 rows, quota, self.seed, "down-buffer", t, image_id)
 
     def negative_lists(self, key) -> list:
-        stored = super().negative_lists(key)
-        return [rows if rows.shape[0] else self.buffers[image_id]
-                for image_id, rows in zip(self.image_ids, stored)]
+        per_image = self.negatives[key]
+        return [per_image.get(image_id, self.buffers[image_id])
+                for image_id in self.image_ids]
 
 
 @dataclass(frozen=True)

@@ -201,10 +201,7 @@ class RlsRegressor:
     lam: float
 
     def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        out = np.atleast_2d(x) @ self.weights + self.bias
-        return out[0] if single else out
+        return np.asarray(x, dtype=np.float64) @ self.weights + self.bias
 
 
 def train_rls(features, targets, lam: float) -> RlsRegressor:

@@ -31,7 +31,6 @@ from oseg import detection, rpn
 from oseg.binio import value_of
 from oseg.detection import (detect, detection_incremental_update,
                             train_detection_from_reservoir)
-from oseg.evaluation import InstancePrediction
 from oseg.feature_store import DatasetHeader
 from oseg.incremental import DetectionReservoir, RpnReservoir
 from oseg.kernels import one_blas_thread
@@ -460,18 +459,13 @@ def infer(model: PipelineModel, record, featurizer=None,
                          "without a featurizer")
     if not use_stored_proposals:
         record = adapt_records(model.rpn, [record], featurizer)[0]
-    detections = detect(model.detection, record)
-    predictions = []
-    for d in detections:
-        mask = None
-        if with_masks:
-            mask_features = featurizer.mask(record.image_id, d.box)
-            mask = predict_mask(model.segmentation, d.class_id, d.box,
-                                mask_features, record.image_size)
-        predictions.append(InstancePrediction(
-            image_id=record.image_id, class_id=d.class_id,
-            score=float(d.score), box=d.box, mask=mask))
-    return predictions
+    predictions = detect(model.detection, record)
+    if not with_masks:
+        return predictions
+    return [dataclasses.replace(p, mask=predict_mask(
+                model.segmentation, p.class_id, p.box,
+                featurizer.mask(record.image_id, p.box), record.image_size))
+            for p in predictions]
 
 
 def infer_dataset(model: PipelineModel, records, featurizer=None,

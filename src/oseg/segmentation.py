@@ -46,21 +46,19 @@ class OnlineSegmentationModel:
         return tuple(sorted(self.classifiers))
 
 
-def build_segmentation_training_sets(records, class_ids, fraction: float, seed) -> dict:
+def build_segmentation_training_sets(records, class_ids, seed) -> dict:
     """Per-class pixel features from ground-truth boxes only.
 
     Every ground truth of a requested class contributes its mask pixels
     as positives and its in-box background pixels as negatives, each
-    side subsampled independently to floor(fraction * count) (never to
-    zero while any pixel exists).  Pixels from other classes' boxes are
-    never mixed in.
+    side subsampled independently to floor(PIXEL_FRACTION * count)
+    (never to zero while any pixel exists).  Pixels from other classes'
+    boxes are never mixed in.
 
     Raises:
         UntrainableClassError: for classes that end up with no positives
             or no negatives (e.g. every mask fills its whole box).
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("subsample fraction must be in (0, 1]")
     class_ids = tuple(class_ids)
     wanted = set(class_ids)
     pos: dict[int, list] = {n: [] for n in class_ids}
@@ -73,7 +71,7 @@ def build_segmentation_training_sets(records, class_ids, fraction: float, seed) 
             labels = gt.pixel_labels.ravel()
             for side, rows, store in (("pos", flat[labels], pos),
                                       ("neg", flat[~labels], neg)):
-                keep = max(1, math.floor(fraction * rows.shape[0]))
+                keep = max(1, math.floor(PIXEL_FRACTION * rows.shape[0]))
                 rng = rng_for(seed, "seg-pixels", record.image_id, k, side)
                 store[gt.class_id].append(subsample_rows(rows, keep, rng))
     out = {}
@@ -97,7 +95,7 @@ def train_online_segmentation(
 ) -> OnlineSegmentationModel:
     """Fit one per-pixel classifier per requested class on
     ``PIXEL_FRACTION`` of each object's pixels."""
-    sets = build_segmentation_training_sets(records, class_ids, PIXEL_FRACTION, seed)
+    sets = build_segmentation_training_sets(records, class_ids, seed)
     classifiers = {}
     for n in sorted(sets):
         p, q = sets[n]

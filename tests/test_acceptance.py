@@ -3,6 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v``.  Every check states its
 tolerance and, where bounded, its wall-clock budget; the printed lines
 bypass output capture so the verdicts are visible in a normal run.
+``test_batch_count_cost_grows`` is no check: it counts the solver work
+behind check 03's timings, so the trend it times has a deterministic
+witness.
 """
 
 import time
@@ -11,10 +14,11 @@ import warnings
 import numpy as np
 import pytest
 
-from oseg import pipeline
+from oseg import detection, pipeline, rpn
 from oseg.evaluation import average_precision, evaluate
 from oseg.incremental import sampling_equivalence_test
 from oseg.kernels import gaussian_kernel, train_kernel_classifier
+from oseg.minibootstrap import run_minibootstrap
 from oseg.model_io import classifier_bytes
 from oseg.pipeline import ProtocolConfig, WorldFeaturizer, stream_residual
 from oseg.synthetic import SyntheticWorld
@@ -128,6 +132,33 @@ def test_03_batch_count_tradeoff(capsys, sweep_world, sweep_train,
              f"{scores[2]:.1f} (2-pt band), training "
              f"{times[0]:.1f}s -> {times[1]:.1f}s -> {times[2]:.1f}s, "
              f"{elapsed:.0f}s < 180s")
+
+
+def test_batch_count_cost_grows(monkeypatch, sweep_world, sweep_train):
+    """Check 03's time trend without a clock: the solver work of every
+    mining fit on both reservoirs, the ``K_nm^T K_nm`` product
+    (n * m^2) and the Cholesky factor (m^3), grows with the batch count."""
+    stats = []
+
+    def recording(reservoir, seed):
+        result = run_minibootstrap(reservoir, seed)
+        stats.extend(result.stats.values())
+        return result
+
+    monkeypatch.setattr(rpn, "run_minibootstrap", recording)
+    monkeypatch.setattr(detection, "run_minibootstrap", recording)
+    products, factors = [], []
+    for num_batches in (2, 5, 10):
+        stats.clear()
+        trainer = pipeline.IncrementalTrainer(
+            sweep_world.header(), SWEEP_CONFIG.replace(num_batches=num_batches))
+        quiet(trainer.add_sequence, sweep_train)
+        fits = [it for s in stats for it in s.iterations]
+        products.append(sum(it.training_size * it.centers_used ** 2
+                            for it in fits))
+        factors.append(sum(it.centers_used ** 3 for it in fits))
+    assert products[0] < products[1] < products[2], products
+    assert factors[0] < factors[1] < factors[2], factors
 
 
 def test_04_incremental_matches_batch(capsys, sweep_world, sweep_train,

@@ -12,7 +12,7 @@ from oseg.detection import (
     detection_labeler,
     train_detection_from_reservoir,
 )
-from oseg.geometry import Box, iou
+from oseg.geometry import Box, apply_targets, iou, nms
 from oseg.incremental import DetectionReservoir, UntrainableClassError
 from oseg.minibootstrap import BootstrapConfig
 from oseg.synthetic import SyntheticWorld
@@ -61,6 +61,44 @@ def fill_reservoir(records, class_ids, config=LARGE_POOL, seed=0):
     reservoir = DetectionReservoir(config=config, seed=seed)
     detection_incremental_update(reservoir, records, class_ids)
     return reservoir
+
+
+def detect_reference(model, record) -> list:
+    """``detect`` as it was when it built one record per surviving
+    region and sorted them in Python: ``(class_id, score, box,
+    proposal_index)`` tuples, best first."""
+    features, boxes = record.proposal_features, record.proposal_boxes
+    detections = []
+    if features.shape[0] == 0:
+        return detections
+    for n in sorted(model.classifiers):
+        scores = model.classifiers[n].decision_values(features)
+        keep = np.nonzero(scores >= detection.SCORE_THRESHOLD)[0]
+        if keep.size == 0:
+            continue
+        offsets = model.regressors[n].predict(features[keep])
+        refined, ok = apply_targets(boxes[keep], offsets, record.image_size)
+        keep, refined = keep[ok], refined[ok]
+        if keep.size == 0:
+            continue
+        for i in nms(refined, scores[keep], detection.NMS_IOU):
+            detections.append((n, float(scores[keep[i]]),
+                               Box.from_array(refined[i]), int(keep[i])))
+    detections.sort(key=lambda d: (-d[1], d[0], d[3]))
+    return detections[:detection.MAX_DETECTIONS]
+
+
+def as_bytes(class_id, score, box) -> tuple:
+    return (class_id, np.float64(score).tobytes(),
+            np.array(dataclasses.astuple(box)).tobytes())
+
+
+def assert_matches_reference(model, record):
+    got = detect(model, record)
+    want = detect_reference(model, record)
+    assert all(p.image_id == record.image_id and p.mask is None for p in got)
+    assert ([as_bytes(p.class_id, p.score, p.box) for p in got]
+            == [as_bytes(*d[:3]) for d in want])
 
 
 def train_detector(records, class_ids, seed):
@@ -229,15 +267,13 @@ class TestDetect:
         )
         assert detect(model, self.test_records[0]) == []
 
-    def test_proposal_index_points_into_input(self):
+    def test_boxes_stay_near_input_proposals(self):
         record = self.test_records[0]
-        boxes = record.proposal_boxes
         detections = detect(self.model, record)
         assert detections
         for d in detections:
-            assert 0 <= d.proposal_index < len(boxes)
-            # the refined box stays near its source proposal
-            assert iou(d.box, boxes[d.proposal_index]) > 0.3
+            # the refined box stays near some source proposal
+            assert max(iou(d.box, box) for box in record.proposal_boxes) > 0.3
 
     def test_explicit_proposals_override_record(self):
         record = self.test_records[0]
@@ -247,4 +283,29 @@ class TestDetect:
         assert lone
         detections = detect(self.model, with_proposals(record, lone))
         assert detections
-        assert all(d.proposal_index == 0 for d in detections)
+        # one proposal yields at most one detection per class, near it
+        classes = [d.class_id for d in detections]
+        assert len(classes) == len(set(classes))
+        for d in detections:
+            assert iou(d.box, record.proposal_boxes[lone[0]]) > 0.3
+
+    def test_matches_reference_in_order(self):
+        for record in self.test_records:
+            assert_matches_reference(self.model, record)
+
+    def test_ties_rank_by_class_then_proposal(self, monkeypatch):
+        # zero weights score every region 0.0 for every class
+        flat = {n: dataclasses.replace(clf, weights=np.zeros_like(clf.weights))
+                for n, clf in self.model.classifiers.items()}
+        model = dataclasses.replace(self.model, classifiers=flat)
+        for record in self.test_records:
+            detections = detect(model, record)
+            assert {d.score for d in detections} == {0.0}
+            classes = [d.class_id for d in detections]
+            assert classes == sorted(classes) and len(set(classes)) == 3
+            assert_matches_reference(model, record)
+        # a cap below one class's survivors cuts inside the tie
+        monkeypatch.setattr(detection, "MAX_DETECTIONS", 5)
+        for record in self.test_records:
+            assert len(detect(model, record)) == 5
+            assert_matches_reference(model, record)

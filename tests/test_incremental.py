@@ -1,5 +1,7 @@
 """Reservoir tests: quota shrinking, pool equivalence, buffers, the chi-square check."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,34 @@ class TestDetectionBuffers:
         for image_id, original in first.items():
             assert res.buffers[image_id].shape[0] <= quota
             assert set(map(tuple, res.buffers[image_id])) <= original
+
+    def test_new_class_stores_only_the_images_that_bring_it(self):
+        # 10 old images know class 0; of 10 new ones, 2 bring class 1
+        res = DetectionReservoir(config=small_config(4, 40), seed=0)
+        res.update(self.make_detection_records(0, 10, with_class=lambda i: True),
+                   dict_labeler)
+        later = self.make_detection_records(10, 10, with_class=lambda i: True)
+        for record in later:
+            present = record.image_id in (12, 17)
+            pos = tagged_rows(record.image_id, 1) + 700 if present else np.empty((0, 4))
+            neg = tagged_rows(record.image_id, 12) + 300 if present else np.empty((0, 4))
+            record.labeled[1] = (pos, neg, (), ())
+        res.update(later, dict_labeler)
+        assert set(res.negatives[1]) == {12, 17}
+        assert all(rows.shape[0] for per_image in res.negatives.values()
+                   for rows in per_image.values())
+        lists = res.negative_lists(1)
+        for image_id, rows in zip(res.image_ids, lists, strict=True):
+            if image_id in (12, 17):
+                assert rows.shape[0] == 8 and (rows[:, 0] == image_id + 300).all()
+            else:
+                assert rows is res.buffers[image_id]
+        # the bytes that explicit empty entries on the other 18 images gave
+        digest = hashlib.sha256()
+        for rows in lists:
+            digest.update(repr(rows.shape).encode() + rows.tobytes())
+        assert digest.hexdigest() == (
+            "a3133975643cc2da56fa620df411b0e0400312cd9144046783514697ee00f564")
 
     def test_fork_takes_updates_the_original_does_not(self):
         res = DetectionReservoir(config=small_config(4, 40), seed=0)

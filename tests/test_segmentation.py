@@ -76,47 +76,45 @@ def reference_training_sets(records, class_ids, fraction, seed):
 
 
 class TestSubsampling:
-    def test_fraction_of_98_pixels_keeps_29(self):
-        sets = build_segmentation_training_sets([half_mask_record()], [0], 0.3, seed=0)
+    def test_fraction_of_98_pixels_keeps_29(self, monkeypatch):
+        monkeypatch.setattr(segmentation, "PIXEL_FRACTION", 0.3)
+        sets = build_segmentation_training_sets([half_mask_record()], [0], seed=0)
         pos, neg = sets[0]
         assert pos.shape[0] == 29 == math.floor(0.3 * 98)
         assert neg.shape[0] == 29
         assert (pos[:, 0] == 1.0).all() and (neg[:, 0] == 0.0).all()
 
-    def test_full_fraction_keeps_everything(self):
-        sets = build_segmentation_training_sets([half_mask_record()], [0], 1.0, seed=0)
+    def test_full_fraction_keeps_everything(self, monkeypatch):
+        monkeypatch.setattr(segmentation, "PIXEL_FRACTION", 1.0)
+        sets = build_segmentation_training_sets([half_mask_record()], [0], seed=0)
         pos, neg = sets[0]
         assert pos.shape[0] == 98 and neg.shape[0] == 98
 
-    def test_tiny_side_never_dropped_to_zero(self):
+    def test_tiny_side_never_dropped_to_zero(self, monkeypatch):
+        monkeypatch.setattr(segmentation, "PIXEL_FRACTION", 0.3)
         sets = build_segmentation_training_sets(
-            [half_mask_record(true_pixels=1)], [0], 0.3, seed=0
+            [half_mask_record(true_pixels=1)], [0], seed=0
         )
         pos, neg = sets[0]
         assert pos.shape[0] == 1                       # floor(0.3) bumped to 1
         assert neg.shape[0] == math.floor(0.3 * 195)
 
-    def test_fraction_validated(self):
-        with pytest.raises(ValueError, match="fraction"):
-            build_segmentation_training_sets([half_mask_record()], [0], 0.0, seed=0)
-        with pytest.raises(ValueError, match="fraction"):
-            build_segmentation_training_sets([half_mask_record()], [0], 1.2, seed=0)
-
     def test_seeded_determinism(self):
-        a = build_segmentation_training_sets([half_mask_record()], [0], 0.3, seed=5)
-        b = build_segmentation_training_sets([half_mask_record()], [0], 0.3, seed=5)
+        a = build_segmentation_training_sets([half_mask_record()], [0], seed=5)
+        b = build_segmentation_training_sets([half_mask_record()], [0], seed=5)
         np.testing.assert_array_equal(a[0][0], b[0][0])
         np.testing.assert_array_equal(a[0][1], b[0][1])
 
     def test_absent_class_raises(self):
         with pytest.raises(UntrainableClassError) as info:
-            build_segmentation_training_sets([half_mask_record()], [0, 3], 0.3, seed=0)
+            build_segmentation_training_sets([half_mask_record()], [0, 3], seed=0)
         assert info.value.keys == (3,)
 
-    def test_label_purity_and_class_isolation(self):
+    def test_label_purity_and_class_isolation(self, monkeypatch):
+        monkeypatch.setattr(segmentation, "PIXEL_FRACTION", 0.5)
         world = SyntheticWorld(class_names=["a", "b"], noise=0.0, seed=2, max_objects=2)
         records = list(world.generate(10))
-        sets = build_segmentation_training_sets(records, [0, 1], 0.5, seed=0)
+        sets = build_segmentation_training_sets(records, [0, 1], seed=0)
         protos = world.prototypes("seg")
         bg = world.background_prototype("seg")
         for n, (pos, neg) in sets.items():
@@ -124,10 +122,11 @@ class TestSubsampling:
             np.testing.assert_allclose(neg, np.tile(bg, (neg.shape[0], 1)), atol=1e-12)
 
     @pytest.mark.parametrize("fraction", [1e-3, 0.3, 1.0])
-    def test_matches_reference_sampler_bytes(self, fraction):
+    def test_matches_reference_sampler_bytes(self, fraction, monkeypatch):
+        monkeypatch.setattr(segmentation, "PIXEL_FRACTION", fraction)
         world = SyntheticWorld(class_names=["a", "b"], noise=0.2, seed=6, max_objects=2)
         records = list(world.generate(10))
-        got = build_segmentation_training_sets(records, [0, 1], fraction, seed=9)
+        got = build_segmentation_training_sets(records, [0, 1], seed=9)
         want = reference_training_sets(records, [0, 1], fraction, seed=9)
         assert got.keys() == want.keys()
         for n in want:
