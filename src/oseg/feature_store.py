@@ -11,10 +11,13 @@ proposal) with one source for the whole record.  On disk the record meta
 lists the boxes and the source, and the feature rows follow the location
 map in proposal order.
 
-Tensors are stored as little-endian float64; masks and pixel labels as
-packed bits.  Reading is streaming: records are yielded one at a time in
-stored order, each validated against the header.  The synthetic
-generator that fills these records lives in :mod:`oseg.synthetic`.
+Feature tensors are stored as little-endian float32, the precision a CNN
+backbone emits; version 2 files, which stored them as float64, are
+refused.  Arithmetic on the features stays float64: every fit and score
+upcasts.  Masks and pixel labels are stored as packed bits.  Reading is
+streaming: records are yielded one at a time in stored order, each
+validated against the header.  The synthetic generator that fills
+these records lives in :mod:`oseg.synthetic`.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from .binio import FormatError, value_of
 from .geometry import AnchorGrid, BinaryMask, Box, pixel_bounds
 
 DATASET_MAGIC = b"OSEG"
-DATASET_VERSION = 2
+DATASET_VERSION = 3
 
-_F8 = np.dtype("<f8")
+_F4 = np.dtype("<f4")
 
 
 @dataclass(frozen=True)
@@ -177,6 +180,18 @@ class DatasetHeader:
                              generator=obj.get("generator"))
 
 
+def _f4_bytes(tensor: np.ndarray, image_id: int, what: str) -> bytes:
+    """``tensor`` as float32 bytes.  A finite value beyond float32's
+    range is refused here, not written as an infinity that the reader
+    would refuse later."""
+    try:
+        with np.errstate(over="raise"):
+            return tensor.astype(_F4, copy=False).tobytes()
+    except FloatingPointError:
+        raise ValueError(f"record {image_id}: {what} beyond the float32 "
+                         f"range") from None
+
+
 def _pack_record(record: FeatureRecord) -> bytes:
     meta = {
         "image_id": record.image_id,
@@ -194,11 +209,12 @@ def _pack_record(record: FeatureRecord) -> bytes:
             for g in record.gt_objects
         ],
     }
-    parts = [record.rpn_map.astype(_F8, copy=False).tobytes(),
-             record.proposal_features.astype(_F8, copy=False).tobytes()]
+    image_id = record.image_id
+    parts = [_f4_bytes(record.rpn_map, image_id, "rpn map"),
+             _f4_bytes(record.proposal_features, image_id, "proposal features")]
     for g in record.gt_objects:
         parts.append(np.packbits(g.mask.bits).tobytes())
-        parts.append(g.mask_features.astype(_F8, copy=False).tobytes())
+        parts.append(_f4_bytes(g.mask_features, image_id, "mask features"))
         parts.append(np.packbits(g.pixel_labels).tobytes())
     blob = b"".join(parts)
     meta_bytes = binio.canonical_json(meta)
@@ -228,10 +244,10 @@ def _unpack_record(payload: bytes, header: DatasetHeader, offset: int) -> Featur
         return out
 
     map_shape = value_of(meta, "map_shape", int, (3,))
-    rpn_map = take(int(np.prod(map_shape)), _F8, "rpn map").reshape(map_shape)
+    rpn_map = take(int(np.prod(map_shape)), _F4, "rpn map").reshape(map_shape)
     listed = meta["proposal_boxes"]
     count = len(listed)
-    features = take(count * header.det_dim, _F8, "proposal features")
+    features = take(count * header.det_dim, _F4, "proposal features")
     # one type check over every coordinate, so that a string or a bool is
     # never cast; ``validate`` checks the shape of what the meta lists
     if not set(map(type, itertools.chain.from_iterable(listed))) <= {float, int}:
@@ -243,7 +259,7 @@ def _unpack_record(payload: bytes, header: DatasetHeader, offset: int) -> Featur
         mh, mw = value_of(g, "mask_shape", int, (2,))
         packed = take(-(-mh * mw // 8), np.uint8, "mask bits")
         bits = np.unpackbits(packed, count=mh * mw).astype(bool).reshape(mh, mw)
-        feats = take(s * s * header.seg_dim, _F8, "mask features")
+        feats = take(s * s * header.seg_dim, _F4, "mask features")
         packed_labels = take(-(-s * s // 8), np.uint8, "pixel labels")
         labels = np.unpackbits(packed_labels, count=s * s).astype(bool).reshape(s, s)
         gts.append(

@@ -21,6 +21,9 @@ all proposal features of the image.  When a class has no stored
 negatives for some image (in particular on images that predate the
 class), the buffer stands in for them at training time.
 
+Feature rows are kept as float32, the format of the dataset files, which
+halves a reservoir's bytes; every fit upcasts them to float64.
+
 A reservoir is filled through a labeler that yields, per record and
 key, the classification positives and negatives together with the
 box-offset regression samples, so a record is labeled once per module;
@@ -77,11 +80,12 @@ def _subsample(rows: np.ndarray, k: int, *seed) -> np.ndarray:
 
 
 def _as_features(a, width: int | None) -> tuple[np.ndarray, int | None]:
-    a = np.asarray(a, dtype=np.float64)
+    """Feature rows as float32, the stored format; fits upcast."""
+    a = np.asarray(a, dtype=np.float32)
     if a.size == 0:
         # zero-width placeholder until some image reveals the true width;
         # zero-row arrays are never concatenated downstream
-        return np.empty((0, width or 0)), width
+        return np.empty((0, width or 0), dtype=np.float32), width
     a = np.atleast_2d(a)
     if width is not None and a.shape[1] != width:
         raise ValueError("feature width changed between images")
@@ -185,7 +189,7 @@ class SampleReservoir:
                 if neg.shape[0]:
                     per_image[image_id] = _subsample(
                         neg, quota, self.seed, "stage1", key, image_id)
-                x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+                x = np.atleast_2d(np.asarray(x, dtype=np.float32))
                 if x.size:
                     _append(self.reg_features, key, x)
                     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
@@ -198,7 +202,8 @@ class SampleReservoir:
     def negative_lists(self, key) -> list:
         """A key's negatives as one array per image, in ingest order; an
         image without stored rows reads as an empty array."""
-        per_image, empty = self.negatives[key], np.empty((0, self.feature_dim))
+        per_image = self.negatives[key]
+        empty = np.empty((0, self.feature_dim), dtype=np.float32)
         return [per_image.get(image_id, empty) for image_id in self.image_ids]
 
 

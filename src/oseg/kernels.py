@@ -177,8 +177,10 @@ def train_kernel_classifier(
     idx = rng.choice(n, size=num_centers, replace=False)
     centers = x[idx].copy()
     knm = gaussian_kernel(x, centers, sigma)
-    kmm = knm[idx]
-    h = knm.T @ knm / n + lam * kmm
+    # K^T K / n + lam K_mm, assembled in place; K_mm is rows of K_nm
+    h = knm.T @ knm
+    h /= n
+    h += lam * knm[idx]
     # trace-scaled jitter keeps the Cholesky stable when centers nearly repeat
     h[np.diag_indices_from(h)] += 1e-10 * np.trace(h) / num_centers
     rhs = knm.T @ y / n

@@ -14,6 +14,9 @@ forms over that layout:
 Gaussian noise with per-component scale ``noise / sqrt(dim)`` is added
 to every tensor, seeded by image id (and, for box features, the box
 quantized to 0.5 px), so any box featurized twice gets identical bytes.
+Each tensor is computed in float64 and returned rounded once to
+float32, the format the dataset stores, so a record in memory and the
+same record read back from a file are equal.
 Prototypes are orthonormal within each feature family, which makes the
 noise-free problem exactly separable by nearest prototype.
 
@@ -253,7 +256,7 @@ class SyntheticWorld:
             best = best.max(axis=1).reshape(rows, cols)
             out += best[:, :, None] * self._rpn_protos[obj.class_id][None, None, :]
         out += self._noise("noise-rpn", out.shape, image_id)
-        return out
+        return out.astype(np.float32)
 
     def detection_features(self, image_id: int, boxes) -> np.ndarray:
         """Region vectors of an ``(n, 4)`` box array, one ``det_dim`` row
@@ -273,7 +276,7 @@ class SyntheticWorld:
         out += np.maximum(1.0 - total, 0.0)[:, None] * self._det_background
         for row, cell in zip(out, _quantized(coords)):
             row += self._noise("noise-det", row.shape, image_id, *cell)
-        return out
+        return out.astype(np.float32)
 
     def _grid_points(self, box: Box) -> tuple[np.ndarray, np.ndarray]:
         s = self.mask_grid
@@ -302,7 +305,7 @@ class SyntheticWorld:
             bits |= inside
         feats += self._noise("noise-seg", feats.shape, image_id,
                              *_quantized(box.as_array())[0])
-        return feats, bits
+        return feats.astype(np.float32), bits
 
     # -- record assembly ---------------------------------------------------
 

@@ -190,11 +190,11 @@ def tensor_regions(offset, payload, header) -> list:
     mask bits, mask features and pixel labels."""
     meta, blob = split_payload(payload)
     s = header.mask_grid
-    sizes = [8 * int(np.prod(meta["map_shape"])),
-             8 * len(meta["proposal_boxes"]) * header.det_dim]
+    sizes = [4 * int(np.prod(meta["map_shape"])),  # float32 cells
+             4 * len(meta["proposal_boxes"]) * header.det_dim]
     for g in meta["gts"]:
         mh, mw = g["mask_shape"]
-        sizes += [-(-mh * mw // 8), 8 * s * s * header.seg_dim, -(-s * s // 8)]
+        sizes += [-(-mh * mw // 8), 4 * s * s * header.seg_dim, -(-s * s // 8)]
     start = offset + 8 + blob
     regions = []
     for size in sizes:
@@ -232,11 +232,11 @@ def test_flipped_preamble_or_meta_byte_is_a_format_error(tmp_path):
     for positions in metas:
         assert flip_each(positions) > len(positions)  # most flips break the file
     # a strided sample of every tensor block, with each block's first and
-    # last byte
+    # last byte; a stride prime to the 4-byte cell visits every byte lane
     sample = set()
     for offset, payload in blocks:
         for start, end in tensor_regions(offset, payload, header):
-            sample.update(range(start, end, 5))
+            sample.update(range(start, end, 3))
             sample.add(end - 1)
     assert len(sample) > 600
     flip_each(sorted(sample))
@@ -306,7 +306,7 @@ def test_non_finite_tensor_is_a_format_error(tmp_path):
     offset, payload = record_blocks(raw)[0]
     start, _ = tensor_regions(offset, payload, header)[1]  # proposal features
     data = bytearray(raw)
-    data[start:start + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    data[start:start + 4] = np.array([np.nan], dtype="<f4").tobytes()
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError, match="non-finite proposal") as err:
         load_dataset(path)
@@ -354,14 +354,75 @@ def test_unknown_source_is_refused_on_write(tmp_path):
         write_dataset(tmp_path / "d.oseg", world.header(), [record])
 
 
-def test_version_1_file_is_refused(tmp_path):
+# version 2 stored the feature blocks as float64
+@pytest.mark.parametrize("version", [1, 2])
+def test_older_version_file_is_refused(tmp_path, version):
     path = tmp_path / "d.oseg"
     generate_dataset(path, small_world(), 1)
     raw = bytearray(path.read_bytes())
-    raw[4:8] = (1).to_bytes(4, "little")
+    raw[4:8] = version.to_bytes(4, "little")
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="unsupported format version 1"):
+    with pytest.raises(FormatError,
+                       match=f"unsupported format version {version}"):
         read_dataset(path)
+
+
+def test_oracle_record_reads_back_as_the_same_float32_bytes(tmp_path):
+    world = small_world(noise=0.3, seed=5, max_objects=3)
+    path = tmp_path / "d.oseg"
+    generate_dataset(path, world, 3)
+    _, stored = load_dataset(path)
+    for record, back in zip(world.generate(3), stored, strict=True):
+        pairs = [(record.rpn_map, back.rpn_map),
+                 (record.proposal_features, back.proposal_features)]
+        pairs += [(g.mask_features, h.mask_features)
+                  for g, h in zip(record.gt_objects, back.gt_objects, strict=True)]
+        for memory, read in pairs:
+            assert memory.dtype == read.dtype == np.float32
+            assert memory.shape == read.shape
+            assert memory.tobytes() == read.tobytes()
+
+
+@pytest.mark.parametrize("tensor", ["rpn map", "proposal features",
+                                    "mask features"])
+def test_feature_beyond_float32_range_is_refused_on_write(tmp_path, tensor):
+    world = small_world()
+    record = world.render_record(3)
+    big = np.float64(np.finfo(np.float32).max) * 2.0
+    if tensor == "rpn map":
+        rpn_map = record.rpn_map.astype(np.float64)
+        rpn_map[0, 0, 0] = big
+        record = dataclasses.replace(record, rpn_map=rpn_map)
+    elif tensor == "proposal features":
+        features = record.proposal_features.astype(np.float64)
+        features[-1, 0] = -big
+        record = dataclasses.replace(record, proposal_features=features)
+    else:
+        gt = record.gt_objects[0]
+        feats = gt.mask_features.astype(np.float64)
+        feats[0, 0, 0] = big
+        record = dataclasses.replace(record, gt_objects=(
+            dataclasses.replace(gt, mask_features=feats),
+            *record.gt_objects[1:]))
+    path = tmp_path / "d.oseg"
+    with pytest.raises(ValueError,
+                       match=f"record 3: {tensor} beyond the float32 range"):
+        write_dataset(path, world.header(), [world.render_record(0), record])
+    # the record before it was written whole
+    _, stream = read_dataset(path)
+    assert records_equal(next(stream), world.render_record(0))
+
+
+def test_float32_extremes_are_written_as_they_are(tmp_path):
+    world = small_world()
+    record = world.render_record(3)
+    features = record.proposal_features.astype(np.float64)
+    features[0, :2] = np.finfo(np.float32).max, -np.finfo(np.float32).max
+    record = dataclasses.replace(record, proposal_features=features)
+    path = tmp_path / "d.oseg"
+    write_dataset(path, world.header(), [record])
+    back = load_dataset(path)[1][0]
+    assert back.proposal_features.tobytes() == features.astype(np.float32).tobytes()
 
 
 @pytest.mark.parametrize("generator", [[1, 2], "synthetic", 3])
@@ -471,14 +532,16 @@ def test_gt_box_feature_equals_prototype():
     record = world.render_record(0)
     (gt,) = record.gt_objects
     feature = world.detection_features(0, gt.box.as_array())[0]
-    assert np.array_equal(feature, world.prototypes("det")[gt.class_id])
+    want = world.prototypes("det")[gt.class_id].astype(np.float32)
+    assert feature.tobytes() == want.tobytes()
 
 
 def test_disjoint_box_is_background():
     world = small_world(max_objects=1)
     world.set_layout(0, [(2, Box(40.0, 40.0, 100.0, 100.0))])
     feature = world.detection_features(0, Box(200.0, 200.0, 260.0, 260.0).as_array())[0]
-    assert np.array_equal(feature, world.background_prototype("det"))
+    want = world.background_prototype("det").astype(np.float32)
+    assert feature.tobytes() == want.tobytes()
 
 
 def test_half_iou_mixes_prototype_and_background():
@@ -489,7 +552,8 @@ def test_half_iou_mixes_prototype_and_background():
     assert iou(query, Box(100.0, 100.0, 160.0, 160.0)) == 0.5
     expected = 0.5 * world.prototypes("det")[1] + 0.5 * world.background_prototype("det")
     got = world.detection_features(0, query.as_array())[0]
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got, expected.astype(np.float32), rtol=0, atol=1e-15)
 
 
 def test_oracle_matches_stored_features():
@@ -513,7 +577,8 @@ def test_oracle_rejects_outside_box():
 
 
 def detection_feature_reference(world, image_id, box):
-    """The region-vector formula for one box row, written out term by term."""
+    """The region-vector formula for one box row, written out term by
+    term in float64 and rounded once to float32, as the oracle returns it."""
     out = np.zeros(world.det_dim)
     total = 0.0
     for obj in world.layout(image_id):
@@ -526,7 +591,7 @@ def detection_feature_reference(world, image_id, box):
         rng = rng_for(world.seed, "noise-det", image_id, *cell)
         out += rng.normal(0.0, world.noise / np.sqrt(world.det_dim),
                           size=world.det_dim)
-    return out
+    return out.astype(np.float32)
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.3])
@@ -561,8 +626,9 @@ def test_image_without_objects_featurizes():
         assert row.tobytes() == detection_feature_reference(world, 0, box).tobytes()
     quiet = small_world(noise=0.0)
     quiet.set_layout(0, [])
+    background = quiet.background_prototype("det").astype(np.float32)
     for row in quiet.detection_features(0, boxes):
-        assert np.array_equal(row, quiet.background_prototype("det"))
+        assert row.tobytes() == background.tobytes()
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
@@ -604,10 +670,12 @@ def test_rpn_map_formula_single_object():
     best = per_anchor.reshape(world.grid.num_locations, world.grid.num_shapes).max(1)
     rows, cols = world.grid.map_size
     expected = best.reshape(rows, cols)[:, :, None] * proto[None, None, :]
-    np.testing.assert_allclose(rpn, expected, rtol=0, atol=1e-15)
+    assert rpn.dtype == np.float32
+    np.testing.assert_allclose(rpn, expected.astype(np.float32), rtol=0, atol=1e-15)
     # the cell under the object center holds the prototype at full strength
     assert iou(gt, Box(72.0, 72.0, 136.0, 136.0)) == 1.0
-    np.testing.assert_allclose(rpn[6, 6], proto, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rpn[6, 6], proto.astype(np.float32), rtol=0,
+                               atol=1e-15)
 
 
 def test_mask_grid_separable_by_nearest_prototype():

@@ -326,12 +326,13 @@ class TestDetectionBuffers:
                 assert rows.shape[0] == 8 and (rows[:, 0] == image_id + 300).all()
             else:
                 assert rows is res.buffers[image_id]
-        # the bytes that explicit empty entries on the other 18 images gave
+        # the bytes that explicit empty entries on the other 18 images
+        # gave, with every row as the float32 the reservoir stores
         digest = hashlib.sha256()
         for rows in lists:
             digest.update(repr(rows.shape).encode() + rows.tobytes())
         assert digest.hexdigest() == (
-            "a3133975643cc2da56fa620df411b0e0400312cd9144046783514697ee00f564")
+            "fe916fa0fba473f725a7fa0cc04d9bf44a417ff0729d37972ca3002dbfe0c880")
 
     def test_fork_takes_updates_the_original_does_not(self):
         res = DetectionReservoir(config=small_config(4, 40), seed=0)
@@ -350,6 +351,44 @@ class TestDetectionBuffers:
         np.testing.assert_array_equal(res.positives[0], positives)
         for x, y in zip(res.negative_lists(0), lists, strict=True):
             np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("cls", [SampleReservoir, DetectionReservoir])
+def test_feature_arrays_stay_float32(cls):
+    """Rows arrive as float64 and are kept as float32 through two updates
+    and a fork; the box-offset targets stay float64."""
+    def records(start, count):
+        out = []
+        for i in range(start, start + count):
+            pos = tagged_rows(i, 1) + 500 if i % 3 else np.empty((0, 4))
+            neg = tagged_rows(i, 12) if i % 2 else ()
+            out.append(FakeRecord(
+                i, {0: (pos, neg, pos, np.ones((len(pos), 4)) if len(pos) else ()),
+                    1: ((), (), (), ())},
+                proposal_features=tagged_rows(i, 20) - 100))
+        return out
+
+    def feature_arrays(res):
+        arrays = [*res.positives.values(), *res.reg_features.values(),
+                  *getattr(res, "buffers", {}).values()]
+        for key in res.keys():
+            arrays += res.negative_lists(key)
+        return arrays
+
+    res = cls(config=small_config(4, 40), seed=0)
+    res.update(records(0, 10), dict_labeler)
+    res.update(records(10, 10), dict_labeler)
+    fork = res.fork()
+    fork.update(records(20, 10), dict_labeler)
+    for reservoir in (res, fork):
+        arrays = feature_arrays(reservoir)
+        assert len(arrays) > 2 * len(reservoir.image_ids)
+        assert all(a.dtype == np.float32 for a in arrays)
+        assert all(a.dtype == np.float64 for a in reservoir.reg_targets.values())
+        # key 1 never had a row: its positives are the zero-row placeholder
+        assert reservoir.positives[1].shape == (0, 4)
+        # a concatenated pool stays float32 too
+        assert np.concatenate(reservoir.negative_lists(0)).dtype == np.float32
 
 
 class TestEquivalence:

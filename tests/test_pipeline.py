@@ -13,6 +13,7 @@ import pytest
 
 from oseg import detection, kernels, pipeline, rpn, segmentation
 from oseg.evaluation import evaluate
+from oseg.feature_store import load_dataset, write_dataset
 from oseg.geometry import box_array, iou_matrix, mask_iou
 from oseg.incremental import UntrainableClassError
 from oseg.minibootstrap import BootstrapConfig
@@ -235,6 +236,15 @@ class TestTrainOurs:
     def test_same_seed_same_bytes(self, header, train_records, config, ours):
         again = quiet_train(pipeline.train_ours, header, train_records,
                             config)
+        assert model_bytes(again.model) == model_bytes(ours.model)
+
+    def test_records_read_back_train_the_same_bytes(self, tmp_path, header,
+                                                    train_records, config,
+                                                    ours):
+        path = tmp_path / "train.oseg"
+        write_dataset(path, header, train_records)
+        _, stored = load_dataset(path)
+        again = quiet_train(pipeline.train_ours, header, stored, config)
         assert model_bytes(again.model) == model_bytes(ours.model)
 
     def test_learns_the_world(self, ours, test_records, featurizer):
