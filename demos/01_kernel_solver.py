@@ -37,10 +37,10 @@ def main():
     print(f"{n} training points, sigma={sigma}, lam={lam}")
     print(f"{'centers':>8} {'accuracy':>9} {'vs dense':>10}")
     for centers in (n, 400, 100, 25):
-        clf = train_kernel_classifier(points[labels > 0],
-                                      points[labels < 0],
-                                      num_centers=centers, sigma=sigma,
-                                      lam=lam, seed=1)
+        clf, _ = train_kernel_classifier(points[labels > 0],
+                                         points[labels < 0],
+                                         num_centers=centers, sigma=sigma,
+                                         lam=lam, seed=1)
         scores = clf.decision_values(probes)
         accuracy = float(np.mean(np.sign(scores) == probe_labels))
         gap = float(np.linalg.norm(scores - reference)

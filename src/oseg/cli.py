@@ -238,9 +238,9 @@ def _check_solver(seed: int) -> bool:
     n, dim, sigma, lam = 200, 8, 1.0, 1e-3
     points = rng.normal(size=(n, dim))
     labels = np.where(points @ rng.normal(size=dim) > 0.0, 1.0, -1.0)
-    clf = train_kernel_classifier(points[labels > 0], points[labels < 0],
-                                  num_centers=n, sigma=sigma, lam=lam,
-                                  seed=seed)
+    clf, _ = train_kernel_classifier(points[labels > 0], points[labels < 0],
+                                     num_centers=n, sigma=sigma, lam=lam,
+                                     seed=seed)
     probes = rng.normal(size=(50, dim))
     kernel = gaussian_kernel(points, points, sigma)
     dense = np.linalg.solve(kernel + n * lam * np.eye(n), labels)

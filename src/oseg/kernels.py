@@ -9,12 +9,20 @@ by Cholesky factorization of the ``m x m`` system.
 Kernel matrices come from one BLAS matrix product, as in FALKON (Rudi et
 al., 2017), rather than from pairwise differences; see
 :func:`gaussian_kernel` for the precision this costs.  The centers are
-rows of the training set, so a fit takes ``K_mm`` from rows of ``K_nm``.
+rows of the training set, so a fit takes ``K_mm`` from rows of ``K_nm``,
+and it returns its scores on the negatives, which the miner prunes by
+without evaluating the kernel again.
 
 Training (``IncrementalTrainer.add_sequence``) runs inside
 :func:`one_blas_thread`, which holds the OpenBLAS thread pools of numpy
 and scipy at one thread each: on few cores the two pools no longer
 compete, and the model bytes no longer depend on ``OPENBLAS_NUM_THREADS``.
+Each head's independent fits (anchor shapes, detection classes, mask
+classes) are shared by the calling thread and one helper thread
+(:func:`map_jobs`), so a training uses two cores with those same
+one-thread pools.  Each fit draws from its own seed, so which thread runs
+it does not change its bytes (Meanti et al., "Kernel methods through the
+roof", NeurIPS 2020, also spread Nystrom fits over every core).
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import ctypes
 import os
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,7 +81,9 @@ def one_blas_thread():
     Where no pool is found, for example with a numpy built against a
     system BLAS, this does nothing.  Setting ``OPENBLAS_NUM_THREADS``
     would not do: OpenBLAS reads it only when the library loads.  The
-    counts are per process, so two threads must not train at once.
+    counts are per process, so two trainers must not train at once; the
+    helper thread of :func:`map_jobs` runs inside its trainer's block and
+    shares these one-thread pools.
     """
     pools = _openblas_pools()
     previous = [get() for get, _ in pools]
@@ -83,6 +94,56 @@ def one_blas_thread():
     finally:
         for (_, set_threads), count in zip(pools, previous):
             set_threads(count)
+
+
+def map_jobs(job, items) -> list:
+    """``[job(item) for item in items]``, run by the calling thread and at
+    most one helper thread.
+
+    Each thread takes the next item not yet taken, so a long job does not
+    hold back the others; results come back in item order.  On a process
+    allowed a single CPU the calling thread runs every job.  A failing
+    job raises what the sequential loop would raise: the exception of
+    the lowest-index failing job.  After a failure neither thread takes
+    another item, and the helper is joined before this returns or raises.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    errors = {}
+    pending = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                index = None if errors else next(pending, None)
+            if index is None:
+                return
+            try:
+                results[index] = job(items[index])
+            except BaseException as exc:  # re-raised below, lowest index
+                with lock:
+                    errors[index] = exc
+                return
+
+    helper = None
+    if len(items) > 1 and _allowed_cpus() > 1:
+        helper = threading.Thread(target=work, name="oseg-fit", daemon=True)
+        helper.start()
+    try:
+        work()
+    finally:
+        if helper is not None:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _allowed_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def gaussian_kernel(x, centers, sigma: float) -> np.ndarray:
@@ -108,6 +169,10 @@ def gaussian_kernel(x, centers, sigma: float) -> np.ndarray:
     np.maximum(k, 0.0, out=k)
     k /= -2.0 * sigma * sigma
     return np.exp(k, out=k)
+
+
+# rows of K_mm added to the normal equations at a time
+_KMM_ROWS = 64
 
 
 @dataclass
@@ -137,8 +202,12 @@ def train_kernel_classifier(
     sigma: float,
     lam: float,
     seed,
-) -> KernelClassifier:
+) -> tuple[KernelClassifier, np.ndarray]:
     """Fit a kernel ridge classifier with uniformly sampled Nystrom centers.
+
+    Returns the classifier and its scores on ``negatives``, in their
+    order.  They are rows of the fit's own ``K_nm``, and equal
+    ``decision_values(negatives)`` exactly.
 
     Args:
         positives: (n_pos, f) features labeled +1.
@@ -177,10 +246,13 @@ def train_kernel_classifier(
     idx = rng.choice(n, size=num_centers, replace=False)
     centers = x[idx].copy()
     knm = gaussian_kernel(x, centers, sigma)
-    # K^T K / n + lam K_mm, assembled in place; K_mm is rows of K_nm
+    # K^T K / n + lam K_mm, assembled in place; K_mm is rows of K_nm,
+    # added a block of rows at a time so that no m x m temporary is made
     h = knm.T @ knm
     h /= n
-    h += lam * knm[idx]
+    for start in range(0, num_centers, _KMM_ROWS):
+        stop = start + _KMM_ROWS
+        h[start:stop] += lam * knm[idx[start:stop]]
     # trace-scaled jitter keeps the Cholesky stable when centers nearly repeat
     h[np.diag_indices_from(h)] += 1e-10 * np.trace(h) / num_centers
     rhs = knm.T @ y / n
@@ -191,7 +263,8 @@ def train_kernel_classifier(
             f"kernel system factorization failed: n={n} m={num_centers} "
             f"sigma={sigma} lam={lam} trace={np.trace(h):.3e}"
         ) from exc
-    return KernelClassifier(centers=centers, weights=w, sigma=sigma, lam=lam)
+    model = KernelClassifier(centers=centers, weights=w, sigma=sigma, lam=lam)
+    return model, knm[pos.shape[0]:] @ w
 
 
 @dataclass

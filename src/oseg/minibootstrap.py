@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelClassifier, SolverError, train_kernel_classifier
+from .kernels import (KernelClassifier, SolverError, map_jobs,
+                      train_kernel_classifier)
 from .seeding import rng_for
 
 
@@ -112,17 +113,19 @@ def mine_hard_negatives(
     model fails to reject, refits on positives + working set + new rows,
     and prunes again.  Refits happen every iteration (fresh center draw)
     even when a batch contributes nothing, mirroring the plain loop.
+    Pruning reads the fit's own scores of the working set.  The rows keep
+    their dtype (float32 from a reservoir) until the kernel upcasts them.
     """
-    pos = np.atleast_2d(np.asarray(positives, dtype=np.float64))
+    pos = np.atleast_2d(np.asarray(positives))
     if pos.shape[0] == 0:
         raise ValueError("need at least one positive sample")
-    batches = [np.atleast_2d(np.asarray(b, dtype=np.float64)) for b in batches]
+    batches = [np.atleast_2d(np.asarray(b)) for b in batches]
     if not batches or batches[0].shape[0] == 0:
         raise ValueError("need a non-empty first negative batch")
 
     stats = MiningStats(num_positives=pos.shape[0])
     model: KernelClassifier | None = None
-    active = np.empty((0, pos.shape[1]))
+    active = batches[0][:0]
     for j, batch in enumerate(batches):
         if model is None:
             hard = batch
@@ -132,7 +135,7 @@ def mine_hard_negatives(
         n_train = pos.shape[0] + active.shape[0]
         centers = min(config.num_centers, n_train)
         started = time.perf_counter()
-        model = train_kernel_classifier(
+        model, scores = train_kernel_classifier(
             pos,
             active,
             num_centers=centers,
@@ -141,12 +144,9 @@ def mine_hard_negatives(
             seed=rng_for(seed, "centers", j),
         )
         elapsed = time.perf_counter() - started
-        if active.shape[0]:
-            keep = model.decision_values(active) >= EASY_THRESHOLD
-            pruned = int((~keep).sum())
-            active = active[keep]
-        else:
-            pruned = 0
+        keep = scores >= EASY_THRESHOLD
+        pruned = int((~keep).sum())
+        active = active[keep]
         stats.iterations.append(
             IterationStats(
                 batch_index=j,
@@ -179,23 +179,30 @@ def run_minibootstrap(reservoir, seed) -> MiningResult:
     ``reservoir.config``.  Keys without positives, and keys whose solver
     fails mid-iteration, are recorded in ``failures`` and skipped; the
     remaining keys train normally.  The caller decides whether a failure
-    is fatal.
+    is fatal.  Keys are mined on two threads (:func:`oseg.kernels.map_jobs`);
+    each draws from its own seed, so the result does not depend on which
+    thread mined it.
     """
     config = reservoir.config
-    result = MiningResult(classifiers={}, stats={}, failures={})
-    for key in sorted(reservoir.positives, key=str):
+
+    def mine(key):
+        """``(model, stats)`` and no failure, or ``None`` and the reason."""
         positives = reservoir.positives[key]
         if positives.shape[0] == 0:
-            result.failures[key] = "no positive samples"
-            continue
+            return None, "no positive samples"
         try:
             batches = make_batches(reservoir.negative_lists(key), key, config, seed)
-            model, stats = mine_hard_negatives(
+            return mine_hard_negatives(
                 positives, batches, config, (seed, "stage3", key)
-            )
+            ), None
         except (SolverError, ValueError) as exc:
-            result.failures[key] = str(exc)
-            continue
-        result.classifiers[key] = model
-        result.stats[key] = stats
+            return None, str(exc)
+
+    keys = sorted(reservoir.positives, key=str)
+    result = MiningResult(classifiers={}, stats={}, failures={})
+    for key, (mined, failure) in zip(keys, map_jobs(mine, keys)):
+        if failure is not None:
+            result.failures[key] = failure
+        else:
+            result.classifiers[key], result.stats[key] = mined
     return result

@@ -309,7 +309,10 @@ class IncrementalTrainer:
         heads train on forks of the reservoirs, and the trainer keeps
         them only once every head has trained, so a sequence that fails
         to train leaves the trainer as it was.  It runs on one BLAS
-        thread (:func:`oseg.kernels.one_blas_thread`).
+        thread (:func:`oseg.kernels.one_blas_thread`), and each head's
+        independent fits are shared by this thread and one helper
+        (:func:`oseg.kernels.map_jobs`); the heads still train one after
+        another, so the ledger's phases do not overlap.
         """
         serial = self.featurizer is not None
         if serial and self.sequences:

@@ -21,7 +21,7 @@ from scipy.ndimage import map_coordinates
 
 from .geometry import BinaryMask, Box, pixel_bounds
 from .incremental import UntrainableClassError, subsample_rows
-from .kernels import train_kernel_classifier
+from .kernels import map_jobs, train_kernel_classifier
 from .seeding import rng_for
 
 # training: kernel width, ridge and the per-object pixel fraction
@@ -94,12 +94,13 @@ def train_online_segmentation(
     seed,
 ) -> OnlineSegmentationModel:
     """Fit one per-pixel classifier per requested class on
-    ``PIXEL_FRACTION`` of each object's pixels."""
+    ``PIXEL_FRACTION`` of each object's pixels; the classes are fitted
+    on two threads (:func:`oseg.kernels.map_jobs`)."""
     sets = build_segmentation_training_sets(records, class_ids, seed)
-    classifiers = {}
-    for n in sorted(sets):
+
+    def fit(n):
         p, q = sets[n]
-        classifiers[n] = train_kernel_classifier(
+        classifier, _ = train_kernel_classifier(
             p,
             q,
             num_centers=min(num_centers, p.shape[0] + q.shape[0]),
@@ -107,7 +108,10 @@ def train_online_segmentation(
             lam=LAM,
             seed=rng_for(seed, "seg-centers", n),
         )
-    return OnlineSegmentationModel(classifiers)
+        return classifier
+
+    classes = sorted(sets)
+    return OnlineSegmentationModel(dict(zip(classes, map_jobs(fit, classes))))
 
 
 def extend_segmentation(

@@ -94,9 +94,9 @@ def test_02_solver_equivalence(capsys):
     n, dim, sigma, lam = 200, 8, 1.0, 1e-3
     points = rng.normal(size=(n, dim))
     labels = np.where(points @ rng.normal(size=dim) > 0.0, 1.0, -1.0)
-    clf = train_kernel_classifier(points[labels > 0], points[labels < 0],
-                                  num_centers=n, sigma=sigma, lam=lam,
-                                  seed=0)
+    clf, _ = train_kernel_classifier(points[labels > 0], points[labels < 0],
+                                     num_centers=n, sigma=sigma, lam=lam,
+                                     seed=0)
     kernel = gaussian_kernel(points, points, sigma)
     dense = np.linalg.solve(kernel + n * lam * np.eye(n), labels)
     probes = rng.normal(size=(50, dim))
@@ -113,15 +113,23 @@ def test_02_solver_equivalence(capsys):
 def test_03_batch_count_tradeoff(capsys, sweep_world, sweep_train,
                                  sweep_test, sweep_featurizer):
     t0 = time.perf_counter()
-    times = []
-    scores = []
-    for num_batches in (2, 5, 10):
-        result = quiet(pipeline.train_ours, sweep_world.header(),
-                       sweep_train, SWEEP_CONFIG.replace(
-                           num_batches=num_batches))
-        times.append(result.ledger.post_acquisition_seconds())
-        scores.append(percent_maps(result.model, sweep_test,
-                                   sweep_featurizer)[("segm", 0.5)])
+    batch_counts = (2, 5, 10)
+    seconds = {n: [] for n in batch_counts}
+    models = {}
+    # each batch count is timed as the fastest of 3 same-seed trainings,
+    # whose models are identical: one training's host noise exceeds the
+    # 5 -> 10-batch work step.  The 3 rounds visit every count in turn, so
+    # that a slow stretch of the host falls on all counts alike.
+    for _ in range(3):
+        for n in batch_counts:
+            result = quiet(pipeline.train_ours, sweep_world.header(),
+                           sweep_train, SWEEP_CONFIG.replace(num_batches=n))
+            seconds[n].append(result.ledger.post_acquisition_seconds())
+            models[n] = result.model
+    times = [min(seconds[n]) for n in batch_counts]
+    scores = [percent_maps(models[n], sweep_test,
+                           sweep_featurizer)[("segm", 0.5)]
+              for n in batch_counts]
     elapsed = time.perf_counter() - t0
     non_decreasing = (scores[1] >= scores[0] - 2.0
                       and scores[2] >= scores[1] - 2.0)
@@ -129,7 +137,7 @@ def test_03_batch_count_tradeoff(capsys, sweep_world, sweep_train,
     ok = non_decreasing and time_grows and elapsed < 180.0
     announce(capsys, 3, "batch-count-tradeoff", ok,
              f"mAP50 segm {scores[0]:.1f} -> {scores[1]:.1f} -> "
-             f"{scores[2]:.1f} (2-pt band), training "
+             f"{scores[2]:.1f} (2-pt band), fastest of 3 trainings "
              f"{times[0]:.1f}s -> {times[1]:.1f}s -> {times[2]:.1f}s, "
              f"{elapsed:.0f}s < 180s")
 

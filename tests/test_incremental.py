@@ -1,9 +1,15 @@
 """Reservoir tests: quota shrinking, pool equivalence, buffers, the chi-square check."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from oseg import incremental
 from oseg.incremental import (
@@ -415,6 +421,31 @@ class TestEquivalence:
         )
         assert not result.passed
         assert result.p_value < 1e-6
+
+    def test_statistic_and_p_value_are_scipy_chisquare(self):
+        counts = [61, 44, 50, 57, 38, 50]
+        draws = iter([subset for subset, count
+                      in zip(combinations(range(4), 2), counts)
+                      for _ in range(count)])
+
+        def scripted(rows, k, rng):
+            return np.array(next(draws))
+
+        result = sampling_equivalence_test(4, 2, trials=sum(counts), seed=0,
+                                           sampler=scripted)
+        want = chisquare(counts)
+        assert result.statistic == want.statistic
+        assert result.p_value == want.pvalue
+
+    def test_cli_and_pipeline_leave_scipy_stats_unimported(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, oseg.cli, oseg.pipeline; "
+             "print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="non-increasing"):

@@ -5,6 +5,9 @@ classifier must agree with exact dense kernel ridge regression, whose
 closed form is computed independently here.
 """
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from oseg.kernels import (
     KernelClassifier,
     SolverError,
     gaussian_kernel,
+    map_jobs,
     train_kernel_classifier,
     train_rls,
 )
@@ -98,8 +102,8 @@ class TestNystromEquivalence:
         pos = x[labels == 1]
         neg = x[labels == 0]
         sigma, lam = 2.0, 1e-3
-        model = train_kernel_classifier(pos, neg, num_centers=n,
-                                        sigma=sigma, lam=lam, seed=7)
+        model, _ = train_kernel_classifier(pos, neg, num_centers=n,
+                                           sigma=sigma, lam=lam, seed=7)
         x_test = rng.normal(size=(25, f))
         got = model.decision_values(x_test)
         # the oracle sees the same points in stacked order with +-1 labels
@@ -117,8 +121,8 @@ class TestNystromEquivalence:
         x_train = np.vstack([pos, neg])
         y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
         want = dense_krr_scores(x_train, y, 2.0, 1e-4, x_test)
-        model = train_kernel_classifier(pos, neg, num_centers=170,
-                                        sigma=2.0, lam=1e-4, seed=3)
+        model, _ = train_kernel_classifier(pos, neg, num_centers=170,
+                                           sigma=2.0, lam=1e-4, seed=3)
         got = model.decision_values(x_test)
         # not exact, but the approximation should track the dense solution
         corr = np.corrcoef(got, want)[0, 1]
@@ -130,8 +134,8 @@ class TestKernelClassifierBehavior:
         rng = rng_for(202, "blobs")
         pos = rng.normal(loc=+2.0, scale=0.3, size=(60, 4))
         neg = rng.normal(loc=-2.0, scale=0.3, size=(80, 4))
-        model = train_kernel_classifier(pos, neg, num_centers=50,
-                                        sigma=3.0, lam=1e-5, seed=11)
+        model, _ = train_kernel_classifier(pos, neg, num_centers=50,
+                                           sigma=3.0, lam=1e-5, seed=11)
         assert model.decision_values(np.full(4, 2.0)[None])[0] > 0.0
         assert model.decision_values(np.full(4, -2.0)[None])[0] < 0.0
         scores = model.decision_values(np.vstack([pos, neg]))
@@ -141,11 +145,11 @@ class TestKernelClassifierBehavior:
         rng = rng_for(202, "determinism")
         pos = rng.normal(size=(30, 4))
         neg = rng.normal(size=(40, 4))
-        a = train_kernel_classifier(pos, neg, 20, 1.5, 1e-4, seed=5)
-        b = train_kernel_classifier(pos, neg, 20, 1.5, 1e-4, seed=5)
+        a, _ = train_kernel_classifier(pos, neg, 20, 1.5, 1e-4, seed=5)
+        b, _ = train_kernel_classifier(pos, neg, 20, 1.5, 1e-4, seed=5)
         assert a.centers.tobytes() == b.centers.tobytes()
         assert a.weights.tobytes() == b.weights.tobytes()
-        c = train_kernel_classifier(pos, neg, 20, 1.5, 1e-4, seed=6)
+        c, _ = train_kernel_classifier(pos, neg, 20, 1.5, 1e-4, seed=6)
         assert a.centers.tobytes() != c.centers.tobytes()
 
     def test_score_continuous_in_sigma(self):
@@ -153,22 +157,32 @@ class TestKernelClassifierBehavior:
         pos = rng.normal(loc=1.0, size=(25, 3))
         neg = rng.normal(loc=-1.0, size=(25, 3))
         x = rng.normal(size=3)
-        base = train_kernel_classifier(pos, neg, 50, 2.0, 1e-4, seed=1)
-        nudged = train_kernel_classifier(pos, neg, 50, 2.0 + 1e-7, 1e-4, seed=1)
+        base, _ = train_kernel_classifier(pos, neg, 50, 2.0, 1e-4, seed=1)
+        nudged, _ = train_kernel_classifier(pos, neg, 50, 2.0 + 1e-7, 1e-4,
+                                            seed=1)
         base, nudged = (m.decision_values(x[None])[0] for m in (base, nudged))
         assert abs(base - nudged) < 1e-4
+
+    def test_negative_scores_are_the_decision_values(self):
+        rng = rng_for(202, "negative-scores")
+        pos = rng.normal(loc=0.5, size=(67, 6)).astype(np.float32)
+        neg = rng.normal(size=(301, 6)).astype(np.float32)
+        model, scores = train_kernel_classifier(pos, neg, 131, 2.0, 1e-5,
+                                                seed=3)
+        assert scores.shape == (301,)
+        assert scores.tobytes() == model.decision_values(neg).tobytes()
 
     def test_symmetric_pair_scores_zero_at_midpoint(self):
         pos = np.array([[1.0, 0.0]])
         neg = np.array([[-1.0, 0.0]])
-        model = train_kernel_classifier(pos, neg, 2, 1.0, 1e-4, seed=0)
+        model, _ = train_kernel_classifier(pos, neg, 2, 1.0, 1e-4, seed=0)
         assert model.decision_values(np.zeros((1, 2)))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_repeated_positive_tiny_lambda_scores_one(self):
         x = np.array([0.5, -0.5, 1.0])
         pos = np.tile(x, (3, 1))
         neg = np.full((1, 3), 100.0)  # far enough to decouple
-        model = train_kernel_classifier(pos, neg, 4, 1.0, 1e-9, seed=0)
+        model, _ = train_kernel_classifier(pos, neg, 4, 1.0, 1e-9, seed=0)
         assert model.decision_values(x[None])[0] == pytest.approx(1.0, abs=1e-3)
 
     def test_single_center_decay_and_permutation(self):
@@ -216,6 +230,101 @@ class TestKernelClassifierBehavior:
         neg = np.zeros((4, 2))
         with pytest.raises(SolverError, match="n=8 m=4"):
             train_kernel_classifier(pos, neg, 4, 1.0, 1e-4, seed=0)
+
+
+def on_main_thread() -> bool:
+    return threading.current_thread() is threading.main_thread()
+
+
+class JobError(Exception):
+    pass
+
+
+class TestMapJobs:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_results_in_item_order_from_both_threads(self):
+        main = []
+
+        def job(item):
+            main.append(on_main_thread())
+            # hold each job long enough for the helper to take some
+            threading.Event().wait(0.01)
+            return item * item
+
+        assert map_jobs(job, range(8)) == [i * i for i in range(8)]
+        assert set(main) == {True, False}
+
+    def test_one_cpu_runs_every_job_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        before = threading.active_count()
+        main = []
+
+        def job(item):
+            main.append(on_main_thread())
+            return -item
+
+        assert map_jobs(job, range(5)) == [0, -1, -2, -3, -4]
+        assert main == [True] * 5
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_failure_on_either_thread_propagates(self, failing):
+        before = threading.active_count()
+        failed = []
+
+        def job(item):
+            if on_main_thread() == (failing == "caller"):
+                failed.append(item)
+                raise JobError(item)
+            threading.Event().wait(0.01)
+            return item
+
+        with pytest.raises(JobError) as raised:
+            map_jobs(job, range(8))
+        assert failed == [raised.value.args[0]]
+        assert threading.active_count() == before
+
+    def test_lowest_index_failure_wins_and_later_jobs_never_start(self):
+        before = threading.active_count()
+        started = []
+        second_failed = threading.Event()
+
+        def job(item):
+            started.append(item)
+            if item == 0:
+                # job 1 runs on the other thread and fails first
+                assert second_failed.wait(10.0)
+            else:
+                second_failed.set()
+            raise JobError(item)
+
+        with pytest.raises(JobError) as raised:
+            map_jobs(job, range(4))
+        assert raised.value.args == (0,)
+        assert sorted(started) == [0, 1]
+        assert threading.active_count() == before
+
+    def test_no_job_starts_after_a_failure(self):
+        started = []
+        failed = threading.Event()
+
+        def job(item):
+            started.append(item)
+            if item == 1:
+                failed.set()
+                raise JobError(item)
+            if item == 0:
+                # job 1 runs on the other thread and fails meanwhile
+                assert failed.wait(10.0)
+            return item
+
+        with pytest.raises(JobError) as raised:
+            map_jobs(job, range(6))
+        assert raised.value.args == (1,)
+        assert sorted(started) == [0, 1]
 
 
 class TestRls:

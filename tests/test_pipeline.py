@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -11,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oseg import detection, kernels, pipeline, rpn, segmentation
+from oseg import (detection, kernels, minibootstrap, pipeline, rpn,
+                  segmentation)
 from oseg.evaluation import evaluate
 from oseg.feature_store import load_dataset, write_dataset
 from oseg.geometry import box_array, iou_matrix, mask_iou
@@ -341,6 +343,43 @@ def test_detection_reservoir_update_is_timed(monkeypatch, header,
     assert phase_seconds(result.ledger, phase) >= 0.2
     assert result.ledger.post_acquisition_seconds() >= 0.2
     assert untimed < 0.2
+
+
+def model_bytes_of_each_protocol(header, train_records, config, featurizer):
+    """Model bytes of ``ours``, of ``ours_serial`` and of an incremental
+    trainer's second sequence, which adds a class."""
+    ours = pipeline.train_ours(header, train_records, config)
+    serial = pipeline.train_ours_serial(
+        header, train_records, config.replace(protocol="ours_serial"),
+        featurizer)
+    world = small_world(seed=21, active_classes=(0, 1))
+    trainer = pipeline.IncrementalTrainer(world.header(), config)
+    trainer.add_sequence(world.generate(10))
+    world.active_classes = (0, 1, 2)
+    second = trainer.add_sequence(world.generate(10, start_id=100))
+    return [model_bytes(result.model) for result in (ours, serial, second)]
+
+
+def test_one_and_two_fit_threads_train_the_same_bytes(
+        monkeypatch, header, train_records, config, featurizer):
+    on_main = []
+    fits = {module: module.train_kernel_classifier
+            for module in (minibootstrap, segmentation)}
+    for module, fit in fits.items():
+        def recorded(*args, fit=fit, **kwargs):
+            on_main.append(
+                threading.current_thread() is threading.main_thread())
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(module, "train_kernel_classifier", recorded)
+    trained = {}
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
+        on_main.clear()
+        trained[len(cpus)] = quiet_train(model_bytes_of_each_protocol, header,
+                                         train_records, config, featurizer)
+        assert set(on_main) == ({True, False} if len(cpus) == 2 else {True})
+    assert trained[1] == trained[2]
 
 
 class TestAdaptRecords:
